@@ -3,7 +3,7 @@
 // BatchExecutor/PlanCache) versus a sequential loop of stateless
 // masked_spgemm calls (ISSUE 4 acceptance: ≥2 shards, results bit-identical,
 // ≥90% warm plan-cache hit rate on repeated structures; ISSUE 5 retrofit:
-// the traffic rides the pipelined client, not blocking router calls).
+// the traffic rides the pipelined client session).
 //
 //   ./bench_micro_service_throughput [--requests N] [--structures K]
 //       [--shards S] [--inflight D] [--threads T] [--reps R] [--json[=PATH]]
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     // delta beyond it.
     std::uint64_t warm_hits = 0, warm_lookups = 0;
     for (int i = 0; i < nshards; ++i) {
-      const auto st = backend->shard_stats(static_cast<std::size_t>(i));
+      const auto st = shards[static_cast<std::size_t>(i)]->stats();
       warm_hits += st.cache_hits;
       warm_lookups += st.cache_hits + st.cache_misses + st.cache_grows;
     }
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
 
     std::uint64_t hits = 0, lookups = 0;
     for (int i = 0; i < nshards; ++i) {
-      const auto st = backend->shard_stats(static_cast<std::size_t>(i));
+      const auto st = shards[static_cast<std::size_t>(i)]->stats();
       hits += st.cache_hits;
       lookups += st.cache_hits + st.cache_misses + st.cache_grows;
     }

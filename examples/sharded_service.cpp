@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
                   "-", "-", "-", "-");
       continue;
     }
-    const auto st = backend->shard_stats(static_cast<std::size_t>(i));
+    const auto st = shards[static_cast<std::size_t>(i)]->stats();
     std::printf("%-10s %10llu %10.0f %10llu %10llu %10.2f\n",
                 ("shard-" + std::to_string(i)).c_str(),
                 static_cast<unsigned long long>(

@@ -1,11 +1,10 @@
 // MaskedClient — the unified, future-returning way to consume masked SpGEMM
 // (ISSUE 5 tentpole).
 //
-// The repo grew four divergent entry points for C = M .* (A·B): the
-// stateless masked_spgemm free function, MaskedPlan (manual reuse),
-// BatchExecutor::submit (concurrent, copy-at-submit) and the blocking
-// ShardRouter::request (one outstanding request per calling thread). The
-// client API folds them behind one surface with one set of semantics:
+// The repo has three lower-level entry points for C = M .* (A·B): the
+// stateless masked_spgemm free function, MaskedPlan (manual reuse) and
+// BatchExecutor::submit (concurrent, copy-at-submit). The client API folds
+// them, and the shard fleet, behind one surface with one set of semantics:
 //
 //   MaskedClient  — constructed from a Backend; vends Sessions.
 //   Session       — registers stationary operands once

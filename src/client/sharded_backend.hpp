@@ -1,6 +1,5 @@
-// ShardedBackend — pipelined async client for a fleet of ServiceShards
-// (ISSUE 5 tentpole). Replaces the blocking ShardRouter::request path for
-// clients that keep products in flight.
+// ShardedBackend — pipelined async client for a fleet of ServiceShards,
+// and the one way to reach the fleet.
 //
 // Per shard there is ONE connection with a writer/reader thread pair:
 //
@@ -14,10 +13,11 @@
 // Stationary operands are the whole point: a registered structure's B (and
 // optional M) is shipped and hashed once per shard connection
 // (kRegisterRequest), after which each submit carries only what varies —
-// often nothing but flags, when A and the mask alias B as in k-truss. The
-// blocking router serializes, checksums and re-fingerprints B on every
-// single call; at service scale that per-request O(nnz(B)) tax is what the
-// session protocol removes, on top of keeping the shard's pipeline full.
+// often nothing but flags, when A and the mask alias B as in k-truss.
+// Shipping every operand per call would serialize, checksum and
+// re-fingerprint B on every product; at service scale that per-request
+// O(nnz(B)) tax is what the session protocol removes, on top of keeping the
+// shard's pipeline full.
 //
 // Failure semantics: when a connection dies (dial failure, transport error,
 // garbled frame) the shard is marked down, its connection generation is
@@ -33,8 +33,8 @@
 // with kShardDown rather than leaving them hanging.
 //
 // Optional health probing (off by default): every probe_interval, down
-// shards get a cheap kStatsRequest on a fresh dial and auto-rejoin the ring
-// on success — the distributed analogue of the router's mark_up.
+// shards get a kMetricsRequest on a fresh dial and auto-rejoin the ring
+// when their page comes back.
 //
 // 2D products (service/distributed.hpp): a submit whose estimated flops
 // clear dist_flop_threshold (MaskedOptions::dist overrides) is cut into an
@@ -70,7 +70,7 @@
 #include "core/flops.hpp"
 #include "runtime/plan_cache.hpp"
 #include "service/distributed.hpp"
-#include "service/router.hpp"  // ShardEndpoint, ConsistentHashRing
+#include "service/routing.hpp"  // ShardEndpoint, ConsistentHashRing
 #include "service/shard.hpp"
 #include "service/transport.hpp"
 #include "service/wire.hpp"
@@ -78,7 +78,8 @@
 namespace msx::client {
 
 struct ShardedBackendConfig {
-  // Ring points per shard (see RouterConfig::vnodes).
+  // Ring points per shard. More vnodes = smoother key spread across shards
+  // (64 keeps the max/min load ratio tight without bloating the ring).
   int vnodes = 64;
   // Health probing of down shards; zero disables (default — tests drive
   // probe_down_shards() explicitly).
@@ -107,11 +108,11 @@ struct ShardedBackendStats {
 };
 
 // Structure digest for routing points: hashes a matrix's pattern once so a
-// registered B never needs re-hashing per submit (the blocking router's
-// plan_fingerprint walks B's arrays on every call). Requests with identical
-// operand structure and options map to the same point — which is all
-// consistent hashing needs — and the point is deterministic across client
-// instances, so independent clients agree on shard affinity.
+// registered B never needs re-hashing per submit (plan_fingerprint would
+// walk B's arrays on every call). Requests with identical operand structure
+// and options map to the same point — which is all consistent hashing
+// needs — and the point is deterministic across client instances, so
+// independent clients agree on shard affinity.
 template <class IT, class VT>
 std::uint64_t matrix_structure_digest(const CSRMatrix<IT, VT>& m,
                                       std::uint64_t seed) {
@@ -350,9 +351,10 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
 
   std::size_t num_shards() const { return endpoints_.size(); }
 
-  // One probing round over every down shard (kStatsRequest on a fresh dial,
-  // mark_up on success); public so tests and schedulers can drive it without
-  // the background thread. Returns how many shards rejoined.
+  // One probing round over every down shard (kMetricsRequest on a fresh
+  // dial, mark_up when the page comes back); public so tests and schedulers
+  // can drive it without the background thread. Returns how many shards
+  // rejoined.
   std::size_t probe_down_shards() {
     std::size_t rejoined = 0;
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
@@ -361,25 +363,13 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
         MutexLock lock(&mu_);
         ++probes_;
       }
-      if (!service::probe_endpoint(endpoints_[i]).has_value()) continue;
+      if (!service::probe_metrics(endpoints_[i]).has_value()) continue;
       mark_up(i);
       ++rejoined;
       MutexLock lock(&mu_);
       ++rejoins_;
     }
     return rejoined;
-  }
-
-  // Blocking stats probe of one shard on a fresh connection (benches and
-  // affinity accounting; not part of the pipelined data path).
-  service::ServiceStats shard_stats(std::size_t shard) {
-    check_arg(shard < endpoints_.size(), "ShardedBackend: shard out of range");
-    auto stats = service::probe_endpoint(endpoints_[shard]);
-    if (!stats.has_value()) {
-      throw service::TransportError("ShardedBackend: stats probe failed: " +
-                                    endpoints_[shard].name);
-    }
-    return *stats;
   }
 
   ShardedBackendStats stats() const {

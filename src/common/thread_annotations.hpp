@@ -98,8 +98,6 @@ enum class LockRank : std::uint32_t {
   kUnranked = 0,         // opts out of order checking (leaf/test mutexes)
   kClientSession = 10,   // client::Session in-flight gauge
   kClientBackend = 20,   // Local/ShardedBackend registry + connection state
-  kRouter = 30,          // ShardRouter health/affinity state
-  kConnectionPool = 35,  // per-shard idle connection pools (nested in kRouter)
   kShard = 40,           // ServiceShard connections/listeners/stats/responses
   kExecutor = 50,        // BatchExecutor admission + wide lane
   kThreadPool = 60,      // ThreadPool task queues

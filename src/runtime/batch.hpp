@@ -63,7 +63,7 @@ JobShape moldable_shape(double estimated_work, double threshold);
 // (max_pending_jobs / max_pending_bytes): block the caller until capacity
 // frees up, or reject immediately with BatchRejected. A service front end
 // wants kReject (turn overload into a cheap wire-level "overloaded" response
-// the router can failover on); embedded callers usually want kBlock.
+// the client can fail over on); embedded callers usually want kBlock.
 enum class AdmissionPolicy {
   kBlock,
   kReject,

@@ -42,7 +42,7 @@
 #include "core/flops.hpp"
 #include "core/partition.hpp"
 #include "matrix/csr.hpp"
-#include "service/router.hpp"  // ConsistentHashRing
+#include "service/routing.hpp"  // ConsistentHashRing
 #include "service/wire.hpp"    // CSRView
 
 namespace msx::service {

@@ -1,4 +1,4 @@
-#include "service/router.hpp"
+#include "service/routing.hpp"
 
 #include <algorithm>
 
@@ -13,26 +13,6 @@ namespace {
 constexpr std::uint64_t kRingSeed = 0x72696e672d763031ull;  // "ring-v01"
 
 }  // namespace
-
-std::optional<ServiceStats> probe_endpoint(const ShardEndpoint& endpoint) {
-  try {
-    auto stream = endpoint.connect();
-    if (stream == nullptr) return std::nullopt;
-    GatherPayload empty;
-    send_frame_parts(*stream, MessageType::kStatsRequest, 0, empty);
-    FrameHeader header;
-    std::vector<std::uint8_t> reply;
-    if (!recv_frame(*stream, header, reply) ||
-        header.type != MessageType::kStatsResponse) {
-      return std::nullopt;
-    }
-    return decode_stats(reply);
-  } catch (const TransportError&) {
-    return std::nullopt;
-  } catch (const WireError&) {
-    return std::nullopt;
-  }
-}
 
 std::optional<std::string> probe_metrics(const ShardEndpoint& endpoint) {
   try {

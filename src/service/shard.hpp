@@ -2,19 +2,19 @@
 //
 // A shard accepts framed requests over any Transport (loopback for tests
 // and co-located deployments, Unix/TCP sockets across processes/hosts) and
-// drains them through the concurrent runtime: every product request becomes
+// drains them through the concurrent runtime: every product submit becomes
 // a BatchExecutor job, so a shard inherits the moldable small/wide policy,
-// the structure-keyed PlanCache, and — new in this PR — bounded-queue
-// admission. Under AdmissionPolicy::kReject a flooded shard answers
-// kOverloaded instead of queueing unboundedly, and the router fails the
-// request over to the next shard on the ring.
+// the structure-keyed PlanCache, and bounded-queue admission. Under
+// AdmissionPolicy::kReject a flooded shard answers kOverloaded instead of
+// queueing unboundedly, and the client spills the request over to the next
+// shard on the ring.
 //
 // Per connection: the reader thread decodes and submits requests and a
 // sender thread streams responses back in submission order, so a connection
 // can keep many requests in flight (the executor runs them concurrently)
 // while the wire stays a simple FIFO of frames. Request ids are echoed
-// verbatim; a kStatsRequest is answered in-line from the shard's counters,
-// which is how the router reads warm-hit rates for affinity accounting.
+// verbatim; a kMetricsRequest is answered in-line with the shard's
+// Prometheus page, which doubles as the client's health probe.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,7 @@ struct ShardConfig {
   std::string name = "shard";
   // Executor limits: pool size, plan-cache capacity/bytes, admission bounds.
   // Service deployments typically set max_pending_jobs (and kReject) so
-  // overload turns into kOverloaded responses the router can reroute.
+  // overload turns into kOverloaded responses the client can reroute.
   BatchLimits limits;
 };
 
@@ -89,6 +89,37 @@ class ConnectionSet {
 };
 
 }  // namespace detail
+
+// A shard's counters, read in process through ServiceShard::stats() (the
+// same numbers reach remote readers as msx_shard_* series in the metrics
+// page).
+struct ServiceStats {
+  std::uint64_t requests = 0;    // product requests received
+  std::uint64_t registrations = 0;  // structures installed (session protocol)
+  std::uint64_t updates = 0;     // structure deltas applied (wire v3)
+  std::uint64_t stale = 0;       // kStaleStructure responses (version races)
+  std::uint64_t responses = 0;   // responses sent (any status)
+  std::uint64_t errors = 0;      // kBadRequest + kInternalError responses
+  std::uint64_t overloaded = 0;  // kOverloaded responses (back-pressure)
+  std::uint64_t bytes_in = 0;    // payload bytes received
+  std::uint64_t bytes_out = 0;   // payload bytes sent
+  std::uint64_t jobs_submitted = 0;
+  std::uint64_t jobs_completed = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_grows = 0;
+  std::uint64_t cache_evictions = 0;
+  std::uint64_t cache_instances = 0;
+  std::uint64_t cache_bytes = 0;
+
+  // Warm-plan rate over all product requests that reached the executor.
+  double warm_hit_rate() const {
+    const auto total = cache_hits + cache_misses + cache_grows;
+    return total == 0 ? 0.0
+                      : static_cast<double>(cache_hits) /
+                            static_cast<double>(total);
+  }
+};
 
 // Folds executor counters into the wire-level ones (shard.cpp).
 void fold_executor_stats(const BatchStats& exec_stats, ServiceStats& out);
@@ -147,14 +178,6 @@ class ServiceShard {
         Pending p;
         p.rid = header.request_id;
         switch (header.type) {
-          case MessageType::kStatsRequest:
-            p.type = MessageType::kStatsResponse;
-            p.immediate = encode_stats(stats());
-            break;
-          case MessageType::kRequest:
-            p.type = MessageType::kResponse;
-            handle_request(payload, p);
-            break;
           case MessageType::kRegisterRequest:
             // One-way: a malformed registration throws WireError below and
             // tears the connection down like any other malformed frame.
@@ -344,44 +367,6 @@ class ServiceShard {
       return s;
     }
   };
-
-  // Decodes and submits one product request; on any validation/admission
-  // failure fills p.immediate with the matching error payload instead.
-  void handle_request(std::span<const std::uint8_t> payload, Pending& p) {
-    {
-      MutexLock lock(&stats_mu_);
-      ++wire_stats_.requests;
-    }
-    try {
-      auto req = decode_request<IT, VT>(payload);
-      // Rebuild the client's aliasing with shared operands so the executor
-      // copies nothing extra and its PlanCache fingerprint matches the one
-      // the router hashed.
-      auto a = std::make_shared<const Mat>(std::move(req.a));
-      auto b = req.b_is_a
-                   ? a
-                   : std::make_shared<const Mat>(std::move(req.b_storage));
-      auto m = req.m_is_a
-                   ? a
-                   : (req.m_is_b ? b
-                                 : std::make_shared<const Mat>(
-                                       std::move(req.m_storage)));
-      p.timing = std::make_shared<JobTiming>();
-      JobOptions job;
-      job.timing = p.timing;
-      p.fut = exec_.submit_shared(std::move(a), std::move(b), std::move(m),
-                                  req.opts, std::move(job));
-    } catch (const BatchRejected& e) {
-      p.immediate = encode_error_response(WireStatus::kOverloaded, e.what());
-    } catch (const WireError& e) {
-      p.immediate = encode_error_response(WireStatus::kBadRequest, e.what());
-    } catch (const std::invalid_argument& e) {
-      p.immediate = encode_error_response(WireStatus::kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      p.immediate = encode_error_response(WireStatus::kInternalError,
-                                          e.what());
-    }
-  }
 
   // Installs (or replaces) a registered structure. Decode failures propagate
   // as WireError to the reader loop, which drops the connection.

@@ -1,6 +1,6 @@
 // Pluggable byte transports for the service layer (ISSUE 4 tentpole).
 //
-// Shard and router speak frames over a Stream — a blocking, bidirectional
+// Shard and client speak frames over a Stream — a blocking, bidirectional
 // byte pipe. Three implementations:
 //
 //   * loopback — an in-process pair of bounded byte queues. Deterministic,
@@ -30,8 +30,7 @@ namespace msx::service {
 
 // Connection-level failures: peer gone, listener closed, dial refused.
 // Distinct from WireError (malformed bytes on an otherwise healthy pipe) so
-// the router can mark a shard down on the former and fail the one request on
-// the latter.
+// callers can tell a dead peer from a garbled one.
 class TransportError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -4,10 +4,7 @@ namespace msx::service {
 
 const char* to_string(MessageType t) {
   switch (t) {
-    case MessageType::kRequest: return "request";
     case MessageType::kResponse: return "response";
-    case MessageType::kStatsRequest: return "stats-request";
-    case MessageType::kStatsResponse: return "stats-response";
     case MessageType::kRegisterRequest: return "register";
     case MessageType::kSubmitRequest: return "submit";
     case MessageType::kUnregisterRequest: return "unregister";
@@ -76,8 +73,10 @@ FrameHeader decode_frame_header(std::span<const std::uint8_t> bytes) {
   if (h.version != kWireVersion) {
     throw WireVersionError(h.version, h.request_id);
   }
-  if (type < static_cast<std::uint16_t>(MessageType::kRequest) ||
-      type > static_cast<std::uint16_t>(MessageType::kMetricsResponse)) {
+  // Types 1, 3 and 4 were retired in v6 (the numbers are never reused).
+  if (type < static_cast<std::uint16_t>(MessageType::kResponse) ||
+      type > static_cast<std::uint16_t>(MessageType::kMetricsResponse) ||
+      type == 3 || type == 4) {
     throw WireError("wire: unknown message type " + std::to_string(type));
   }
   h.type = static_cast<MessageType>(type);
@@ -152,50 +151,6 @@ std::string decode_metrics_text(std::span<const std::uint8_t> payload) {
   std::string text = r.get_string();
   if (!r.exhausted()) throw WireError("wire: trailing bytes in metrics");
   return text;
-}
-
-std::vector<std::uint8_t> encode_stats(const ServiceStats& s) {
-  const std::uint64_t fields[] = {
-      s.requests,        s.responses,      s.errors,
-      s.overloaded,      s.bytes_in,       s.bytes_out,
-      s.jobs_submitted,  s.jobs_completed, s.cache_hits,
-      s.cache_misses,    s.cache_grows,    s.cache_evictions,
-      s.cache_instances, s.cache_bytes,    s.registrations,
-      s.updates,         s.stale,
-  };
-  WireWriter w;
-  w.put_array(std::span<const std::uint64_t>(fields));
-  return w.take();
-}
-
-ServiceStats decode_stats(std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  const auto fields = r.get_array<std::uint64_t>();
-  if (!r.exhausted()) throw WireError("wire: trailing bytes in stats");
-  // Count-prefixed so a newer peer may append fields; this version needs its
-  // own 14.
-  if (fields.size() < 14) throw WireError("wire: short stats payload");
-  ServiceStats s;
-  s.requests = fields[0];
-  s.responses = fields[1];
-  s.errors = fields[2];
-  s.overloaded = fields[3];
-  s.bytes_in = fields[4];
-  s.bytes_out = fields[5];
-  s.jobs_submitted = fields[6];
-  s.jobs_completed = fields[7];
-  s.cache_hits = fields[8];
-  s.cache_misses = fields[9];
-  s.cache_grows = fields[10];
-  s.cache_evictions = fields[11];
-  s.cache_instances = fields[12];
-  s.cache_bytes = fields[13];
-  // Appended in v2/v3; count-prefixed, so a shorter (older) payload still
-  // decodes with the counters at zero.
-  if (fields.size() > 14) s.registrations = fields[14];
-  if (fields.size() > 15) s.updates = fields[15];
-  if (fields.size() > 16) s.stale = fields[16];
-  return s;
 }
 
 }  // namespace msx::service

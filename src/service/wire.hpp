@@ -1,8 +1,8 @@
 // Wire protocol for the sharded masked-SpGEMM service (ISSUE 4 tentpole).
 //
 // A compact binary format carrying CSR operands, MaskedOptions and results
-// between a ShardRouter client and a ServiceShard server. Every message is a
-// frame:
+// between the sharded client (client/sharded_backend.hpp) and a ServiceShard
+// server. Every message is a frame:
 //
 //   [magic u32][version u16][type u16][request_id u64][payload_len u64]
 //   [checksum u64]  — 32-byte header, then payload_len payload bytes.
@@ -14,11 +14,11 @@
 // (index width + value code) and verified at decode, so a client and server
 // built with different instantiations fail loudly instead of misreading.
 //
-// Aliasing is first-class: a request stores each distinct operand once and
-// flags B==A / M==A / M==B, which keeps k-truss-style traffic small on the
-// wire AND reproduces the exact aliasing the PlanCache fingerprint keys on —
-// the router and the shard compute identical PlanKeys for a request, which
-// is what makes fingerprint-affinity routing line up with warm cache hits.
+// Aliasing is first-class: a registration or submit stores each distinct
+// operand once and flags the aliases (M==B, A==B, M==A), which keeps
+// k-truss-style traffic small on the wire AND reproduces on the shard the
+// exact aliasing the PlanCache fingerprint keys on, so repeated structures
+// hit warm plans.
 #pragma once
 
 #include <bit>
@@ -44,11 +44,10 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// Numbers are never reused: 1 (the stateless every-operand request) and 3/4
+// (the binary stats probe) were retired in v6 and are rejected as unknown.
 enum class MessageType : std::uint16_t {
-  kRequest = 1,        // masked product request carrying every operand
-  kResponse = 2,       // result (or error status)
-  kStatsRequest = 3,   // shard stats probe (affinity accounting)
-  kStatsResponse = 4,  // ServiceStats payload
+  kResponse = 2,  // result (or error status)
   // Session protocol (wire v2, async client): a connection registers its
   // stationary operands once and then pipelines many products that reference
   // them by id — the stationary B (and optionally M) crosses the wire and is
@@ -94,10 +93,12 @@ inline constexpr std::uint32_t kWireMagic = 0x4D535857u;  // "WXSM" on the wire
 // registered mask. v5 (observability) adds the optional kSubTraced
 // trace-context triple on submits, splits the response timing into
 // exec/queue/run nanoseconds, and adds kMetricsRequest/kMetricsResponse
-// (Prometheus text pull). The 32-byte header layout has never changed, so a
-// mismatched peer is parsed far enough to reject it loudly on its own
-// request id (WireVersionError) instead of hanging.
-inline constexpr std::uint16_t kWireVersion = 5;
+// (Prometheus text pull). v6 retires the stateless request (type 1) and the
+// stats probe (types 3/4): the session protocol carries every product and
+// kMetricsRequest doubles as the health probe. The 32-byte header layout
+// has never changed, so a mismatched peer is parsed far enough to reject it
+// loudly on its own request id (WireVersionError) instead of hanging.
+inline constexpr std::uint16_t kWireVersion = 6;
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 // Upper bound on a single payload; a corrupt length field must not turn into
 // a multi-gigabyte allocation.
@@ -127,7 +128,7 @@ class WireVersionError : public WireError {
 
 struct FrameHeader {
   std::uint16_t version = kWireVersion;
-  MessageType type = MessageType::kRequest;
+  MessageType type = MessageType::kResponse;
   std::uint64_t request_id = 0;
   std::uint64_t payload_len = 0;
   std::uint64_t checksum = 0;
@@ -502,91 +503,6 @@ void write_options(Writer& w, const MaskedOptions& opts) {
 // know (a frame from a newer peer must not be silently misinterpreted).
 MaskedOptions read_options(WireReader& r);
 
-// --- request ---------------------------------------------------------------
-
-// A decoded request. Aliased operands are stored once; b()/mask() resolve
-// the aliases so the shard can hand the executor the same object identity
-// the client expressed (identical PlanCache fingerprints on both sides).
-template <class IT, class VT>
-struct WireRequest {
-  MaskedOptions opts;
-  bool b_is_a = false;
-  bool m_is_a = false;
-  bool m_is_b = false;
-  CSRMatrix<IT, VT> a;
-  CSRMatrix<IT, VT> b_storage;  // empty when b_is_a
-  CSRMatrix<IT, VT> m_storage;  // empty when m_is_a || m_is_b
-
-  const CSRMatrix<IT, VT>& b() const { return b_is_a ? a : b_storage; }
-  const CSRMatrix<IT, VT>& mask() const {
-    if (m_is_a) return a;
-    if (m_is_b) return b();
-    return m_storage;
-  }
-
-  PlanKey fingerprint() const {
-    return plan_fingerprint(a, b(), mask(), opts);
-  }
-};
-
-inline constexpr std::uint8_t kAliasBIsA = 1;
-inline constexpr std::uint8_t kAliasMIsA = 2;
-inline constexpr std::uint8_t kAliasMIsB = 4;
-
-// Builds a request payload as gather parts (operand arrays referenced in
-// place; they must outlive the send). Aliases are detected by address,
-// exactly like masked_plan / BatchExecutor::submit.
-template <class IT, class VT>
-void encode_request_parts(GatherPayload& g, const CSRMatrix<IT, VT>& a,
-                          const CSRMatrix<IT, VT>& b,
-                          const CSRMatrix<IT, VT>& m,
-                          const MaskedOptions& opts) {
-  const bool b_is_a = static_cast<const void*>(&b) == static_cast<const void*>(&a);
-  const bool m_is_a = static_cast<const void*>(&m) == static_cast<const void*>(&a);
-  const bool m_is_b =
-      !m_is_a && static_cast<const void*>(&m) == static_cast<const void*>(&b);
-  std::uint8_t flags = 0;
-  if (b_is_a) flags |= kAliasBIsA;
-  if (m_is_a) flags |= kAliasMIsA;
-  if (m_is_b) flags |= kAliasMIsB;
-  g.put_u8(flags);
-  write_options(g, opts);
-  write_csr_parts(g, a);
-  if (!b_is_a) write_csr_parts(g, b);
-  if (!m_is_a && !m_is_b) write_csr_parts(g, m);
-}
-
-// Contiguous form of encode_request_parts (tests, non-gather callers).
-template <class IT, class VT>
-std::vector<std::uint8_t> encode_request(const CSRMatrix<IT, VT>& a,
-                                         const CSRMatrix<IT, VT>& b,
-                                         const CSRMatrix<IT, VT>& m,
-                                         const MaskedOptions& opts) {
-  GatherPayload g;
-  encode_request_parts(g, a, b, m, opts);
-  return g.flatten();
-}
-
-template <class IT, class VT>
-WireRequest<IT, VT> decode_request(std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  WireRequest<IT, VT> req;
-  const std::uint8_t flags = r.get_u8();
-  if ((flags & ~(kAliasBIsA | kAliasMIsA | kAliasMIsB)) != 0) {
-    throw WireError("wire: unknown alias flags");
-  }
-  req.b_is_a = (flags & kAliasBIsA) != 0;
-  req.m_is_a = (flags & kAliasMIsA) != 0;
-  req.m_is_b = (flags & kAliasMIsB) != 0;
-  if (req.m_is_a && req.m_is_b) throw WireError("wire: contradictory aliases");
-  req.opts = read_options(r);
-  req.a = read_csr<IT, VT>(r);
-  if (!req.b_is_a) req.b_storage = read_csr<IT, VT>(r);
-  if (!req.m_is_a && !req.m_is_b) req.m_storage = read_csr<IT, VT>(r);
-  if (!r.exhausted()) throw WireError("wire: trailing bytes in request");
-  return req;
-}
-
 // --- session protocol (wire v2) --------------------------------------------
 //
 // A connection-scoped structure registry: kRegisterRequest installs the
@@ -955,42 +871,6 @@ WireResponseView<IT, VT> decode_response_view(
   if (!r.exhausted()) throw WireError("wire: trailing bytes in response");
   return resp;
 }
-
-// --- stats -----------------------------------------------------------------
-
-// Shard-side counters exposed over the wire for affinity accounting: the
-// router (or an operator) reads warm hit rates per shard without touching
-// the shard process.
-struct ServiceStats {
-  std::uint64_t requests = 0;    // product requests received
-  std::uint64_t registrations = 0;  // structures installed (session protocol)
-  std::uint64_t updates = 0;     // structure deltas applied (wire v3)
-  std::uint64_t stale = 0;       // kStaleStructure responses (version races)
-  std::uint64_t responses = 0;   // responses sent (any status)
-  std::uint64_t errors = 0;      // kBadRequest + kInternalError responses
-  std::uint64_t overloaded = 0;  // kOverloaded responses (back-pressure)
-  std::uint64_t bytes_in = 0;    // payload bytes received
-  std::uint64_t bytes_out = 0;   // payload bytes sent
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_grows = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_instances = 0;
-  std::uint64_t cache_bytes = 0;
-
-  // Warm-plan rate over all product requests that reached the executor.
-  double warm_hit_rate() const {
-    const auto total = cache_hits + cache_misses + cache_grows;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
-};
-
-std::vector<std::uint8_t> encode_stats(const ServiceStats& s);
-ServiceStats decode_stats(std::span<const std::uint8_t> payload);
 
 // --- metrics (wire v5) ------------------------------------------------------
 

@@ -122,6 +122,7 @@ TEST(Client2D, ForcedGridBitIdenticalEveryAlgoPhase) {
       }
     }
   }
+  backend->drain();  // bookkeeping settles after the futures
   const auto st = backend->stats();
   EXPECT_EQ(st.dist2d_products, products);   // every one took the 2D path
   EXPECT_EQ(st.dist2d_panels, 4 * products); // on the forced 2x2 grid
@@ -318,6 +319,7 @@ TEST(Client2D, ReplicaFailoverMidScatterLosesNothing) {
       ASSERT_TRUE(res.ok()) << res.message;  // zero panel tasks lost
       EXPECT_TRUE(res.matrix == want[static_cast<std::size_t>(r)]);
     }
+    backend->drain();  // bookkeeping settles after the futures
     const auto st = backend->stats();
     EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kProducts));  // no dup
     EXPECT_EQ(st.dist2d_products, static_cast<std::uint64_t>(kProducts));

@@ -3,8 +3,9 @@
 // future by request id even when they arrive out of order, shutdown with
 // futures in flight resolves them (typed, never hanging), a shard dying
 // mid-pipeline re-submits its in-flight requests without loss or
-// duplication, and down shards are probed back up (ROADMAP health-probe
-// item).
+// duplication, an overloaded shard spills one request without losing its
+// affinity, a throwing dial marks its shard down, and down shards are
+// probed back up (ROADMAP health-probe item).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -107,6 +108,7 @@ TEST(ClientSharded, PipelinedBitIdenticalAcrossShards) {
     EXPECT_TRUE(res.matrix == want[static_cast<std::size_t>(r)]);
   }
 
+  backend->drain();  // bookkeeping settles after the futures
   const auto st = backend->stats();
   EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kRequests));
@@ -115,7 +117,7 @@ TEST(ClientSharded, PipelinedBitIdenticalAcrossShards) {
   // structures hit warm plans server-side.
   std::uint64_t registrations = 0, hits = 0;
   for (std::size_t i = 0; i < fleet.shards.size(); ++i) {
-    const auto ss = backend->shard_stats(i);
+    const auto ss = fleet.shards[i]->stats();
     registrations += ss.registrations;
     hits += ss.cache_hits;
   }
@@ -285,6 +287,7 @@ TEST(ClientSharded, FailoverMidPipelineResubmitsInFlight) {
       ASSERT_TRUE(res.ok()) << res.message;  // no loss
       EXPECT_TRUE(res.matrix == want[static_cast<std::size_t>(r)]);
     }
+    backend->drain();  // bookkeeping settles after the futures
     const auto st = backend->stats();
     EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kRequests));  // no dup
     EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kRequests));
@@ -355,6 +358,94 @@ TEST(ClientSharded, AllShardsDownYieldsTypedShardDown) {
       session.register_structure(StructureSpec<IT, VT>(b).self_mask());
   auto res = session.submit(b, handle).get();
   EXPECT_EQ(res.status, RequestStatus::kShardDown);
+}
+
+// Back-pressure: a kOverloaded answer spills the one request to the next
+// shard on the ring without marking its home shard down.
+TEST(ClientSharded, OverloadedShardSpillsSingleRequest) {
+  service::ShardConfig cfg;
+  cfg.limits.pool_threads = 1;
+  cfg.limits.max_pending_jobs = 1;
+  cfg.limits.admission = AdmissionPolicy::kReject;
+  Fleet fleet(2, cfg);
+  auto backend = std::make_shared<Sharded>(fleet.endpoints);
+  Client client(backend);
+  auto session = client.open_session();
+
+  auto a = std::make_shared<const Mat>(erdos_renyi<IT, VT>(64, 64, 5, 12));
+  auto handle =
+      session.register_structure(StructureSpec<IT, VT>(a).self_mask());
+  const auto want = masked_spgemm<SR>(*a, *a, *a);
+
+  // One product finds the structure's home shard.
+  ASSERT_TRUE(session.submit(a, handle).get().ok());
+  const auto before = backend->stats();
+  const std::size_t home = before.routed[0] == 1 ? 0 : 1;
+  ASSERT_EQ(before.routed[home], 1u);
+
+  // Saturate the home shard: park its only pool worker and fill the
+  // admission slot with a job submitted to its executor directly (once the
+  // first job's bookkeeping, which settles after its future, has freed it).
+  auto& home_shard = *fleet.shards[home];
+  home_shard.executor().wait_idle();
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  home_shard.executor().pool().submit_detached([opened] { opened.wait(); });
+  auto parked = home_shard.executor().submit(*a, *a, *a);
+
+  // The submit gets kOverloaded from home and completes on the other shard,
+  // still bit-identical.
+  auto res = session.submit(a, handle).get();
+  ASSERT_TRUE(res.ok()) << res.message;
+  EXPECT_TRUE(res.matrix == want);
+  const auto st = backend->stats();
+  EXPECT_EQ(st.overload_reroutes, 1u);
+  EXPECT_EQ(st.routed[1 - home], 1u);
+  EXPECT_FALSE(backend->is_down(home));
+
+  gate.set_value();
+  parked.get();
+}
+
+// An endpoint whose dial throws is marked down on first contact; every
+// request still completes on the surviving shards.
+TEST(ClientSharded, ThrowingDialIsMarkedDown) {
+  Fleet fleet(2);
+  auto endpoints = fleet.endpoints;
+  endpoints.push_back(ShardEndpoint{
+      "dead", []() -> std::unique_ptr<service::Stream> {
+        throw service::TransportError("connection refused");
+      }});
+  auto backend = std::make_shared<Sharded>(endpoints);
+  Client client(backend);
+  auto session = client.open_session({.max_in_flight = 8});
+
+  const int kStructures = 8;
+  std::vector<std::future<Client::Result>> futures;
+  std::vector<Mat> want;
+  for (int k = 0; k < kStructures; ++k) {
+    const IT rows = 50 + 12 * static_cast<IT>(k);
+    auto b = std::make_shared<const Mat>(
+        erdos_renyi<IT, VT>(rows, rows, 5, 140 + k));
+    auto handle =
+        session.register_structure(StructureSpec<IT, VT>(b).self_mask());
+    auto a = std::make_shared<const Mat>(
+        erdos_renyi<IT, VT>(rows, rows, 5, 160 + k));
+    want.push_back(masked_spgemm<SR>(*a, *b, *b));
+    futures.push_back(session.submit(a, handle));
+  }
+  for (int k = 0; k < kStructures; ++k) {
+    auto res = futures[static_cast<std::size_t>(k)].get();
+    ASSERT_EQ(res.status, RequestStatus::kOk) << res.message;
+    EXPECT_TRUE(res.matrix == want[static_cast<std::size_t>(k)]);
+  }
+  // With 8 structures over 3 shards the ring sends some to the dead one.
+  const auto st = backend->stats();
+  EXPECT_TRUE(backend->is_down(2));
+  EXPECT_EQ(st.down_marks, 1u);
+  EXPECT_EQ(st.routed[2], 0u);
+  EXPECT_EQ(st.routed[0] + st.routed[1],
+            static_cast<std::uint64_t>(kStructures));
 }
 
 TEST(ClientSharded, HealthProbeRejoinsDownShard) {

@@ -336,7 +336,7 @@ TEST(ClientStreaming, ShardedUpdateShipsDeltaAndVersionsResults) {
 
   std::uint64_t updates = 0, stales = 0;
   for (std::size_t i = 0; i < fleet.shards.size(); ++i) {
-    const auto ss = backend->shard_stats(i);
+    const auto ss = fleet.shards[i]->stats();
     updates += ss.updates;
     stales += ss.stale;
   }

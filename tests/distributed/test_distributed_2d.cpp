@@ -16,7 +16,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "matrix/csr.hpp"
 #include "service/distributed.hpp"
-#include "service/router.hpp"
+#include "service/routing.hpp"
 
 using namespace msx;
 using namespace msx::service;

@@ -9,7 +9,7 @@
 
 #include "gen/erdos_renyi.hpp"
 #include "obs/metrics.hpp"
-#include "service/router.hpp"
+#include "service/routing.hpp"
 #include "service/shard.hpp"
 #include "service/wire.hpp"
 
@@ -129,7 +129,7 @@ TEST(WireTrace, PreV5PeerIsRejectedWithVersionedError) {
 
 TEST(WireTrace, LiveShardServesPrometheusPage) {
   // End-to-end kMetricsRequest: serve a few products, then scrape the
-  // shard's page via the router's probe and check the latency summary.
+  // shard's page via the health probe and check the latency summary.
   msx::obs::set_metrics_enabled(true);
   using SR = PlusTimes<VT>;
   ShardConfig cfg;
@@ -144,10 +144,15 @@ TEST(WireTrace, LiveShardServesPrometheusPage) {
   constexpr int kRequests = 5;
   {
     auto stream = raw->connect();
+    GatherPayload reg;
+    encode_register_parts(reg, 1, 1, a, &m);
+    send_frame_parts(*stream, MessageType::kRegisterRequest, 0, reg);
     for (int r = 0; r < kRequests; ++r) {
-      send_frame(*stream, MessageType::kRequest,
-                 static_cast<std::uint64_t>(r),
-                 encode_request(a, a, m, MaskedOptions{}));
+      GatherPayload sub;
+      encode_submit_parts<IT, VT>(sub, 1, 1, kSubAIsB | kSubMRegistered,
+                                  nullptr, nullptr, MaskedOptions{});
+      send_frame_parts(*stream, MessageType::kSubmitRequest,
+                       static_cast<std::uint64_t>(r), sub);
       FrameHeader h;
       std::vector<std::uint8_t> reply;
       ASSERT_TRUE(recv_frame(*stream, h, reply));

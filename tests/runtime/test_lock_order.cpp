@@ -121,7 +121,7 @@ TEST_F(LockOrderTest, UnrankedMutexesAreExempt) {
 
 TEST_F(LockOrderTest, ReleaseOutOfOrderStaysBalanced) {
   // Hand-over-hand style release (not LIFO) must not confuse the bookkeeping.
-  msx::Mutex a(msx::LockRank::kRouter, "a");
+  msx::Mutex a(msx::LockRank::kClientBackend, "a");
   msx::Mutex b(msx::LockRank::kShard, "b");
   a.lock();
   b.lock();

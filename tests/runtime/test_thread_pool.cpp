@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +22,13 @@ TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults) {
   }
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+  }
+  // The counter ticks just after each task's future is set.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.tasks_executed() < 64u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
   EXPECT_GE(pool.tasks_executed(), 64u);
 }

@@ -1,9 +1,11 @@
 // ServiceShard: serving loop, pipelining, error statuses, back-pressure
-// (kOverloaded) and stats over the wire (ISSUE 4).
+// (kOverloaded) and counters, all driven through the session protocol
+// (kRegisterRequest + kSubmitRequest frames).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,28 @@ using SR = PlusTimes<VT>;
 using Mat = CSRMatrix<IT, VT>;
 using Shard = ServiceShard<SR, IT, VT>;
 
+namespace {
+
+// Installs {B[, M]} under `id` on this connection (one-way frame).
+void send_register(Stream& s, std::uint64_t id, const Mat& b,
+                   const Mat* m = nullptr) {
+  GatherPayload g;
+  encode_register_parts(g, id, 1, b, m);
+  send_frame_parts(s, MessageType::kRegisterRequest, 0, g);
+}
+
+// A product against registered structure `id`: A inline unless `flags`
+// says it aliases B, the mask as `flags` selects.
+void send_submit(Stream& s, std::uint64_t rid, std::uint64_t id,
+                 std::uint8_t flags, const Mat* a = nullptr,
+                 const Mat* m = nullptr, const MaskedOptions& opts = {}) {
+  GatherPayload g;
+  encode_submit_parts(g, id, 1, flags, a, m, opts);
+  send_frame_parts(s, MessageType::kSubmitRequest, rid, g);
+}
+
+}  // namespace
+
 TEST(ServiceShard, ServesRequestsBitIdenticalToDirectCalls) {
   Shard shard;
   auto [client, server] = loopback_pair();
@@ -29,14 +53,14 @@ TEST(ServiceShard, ServesRequestsBitIdenticalToDirectCalls) {
   const auto a = erdos_renyi<IT, VT>(120, 120, 5, 1);
   const auto b = erdos_renyi<IT, VT>(120, 120, 5, 2);
   const auto m = erdos_renyi<IT, VT>(120, 120, 7, 3);
+  send_register(*client, 1, b, &m);
 
   for (auto kind : {MaskKind::kMask, MaskKind::kComplement}) {
     MaskedOptions opts;
     opts.algo = MaskedAlgo::kHash;
     opts.kind = kind;
     const auto want = masked_spgemm<SR>(a, b, m, opts);
-    send_frame(*client, MessageType::kRequest, 11,
-               encode_request(a, b, m, opts));
+    send_submit(*client, 11, 1, kSubMRegistered, &a, nullptr, opts);
     FrameHeader h;
     std::vector<std::uint8_t> reply;
     ASSERT_TRUE(recv_frame(*client, h, reply));
@@ -47,6 +71,7 @@ TEST(ServiceShard, ServesRequestsBitIdenticalToDirectCalls) {
     EXPECT_TRUE(resp.result == want);
   }
   const auto st = shard.stats();
+  EXPECT_EQ(st.registrations, 1u);
   EXPECT_EQ(st.requests, 2u);
   EXPECT_EQ(st.responses, 2u);
   EXPECT_EQ(st.errors, 0u);
@@ -62,11 +87,11 @@ TEST(ServiceShard, PipelinedRequestsAnswerInOrderWithEchoedIds) {
   const auto a = erdos_renyi<IT, VT>(90, 90, 5, 4);
   const auto m = erdos_renyi<IT, VT>(90, 90, 6, 5);
   const auto want = masked_spgemm<SR>(a, a, m);
+  send_register(*client, 1, a, &m);
 
   const int kInFlight = 8;
   for (int i = 0; i < kInFlight; ++i) {
-    send_frame(*client, MessageType::kRequest, 100 + i,
-               encode_request(a, a, m, MaskedOptions{}));
+    send_submit(*client, 100 + i, 1, kSubAIsB | kSubMRegistered);
   }
   for (int i = 0; i < kInFlight; ++i) {
     FrameHeader h;
@@ -86,18 +111,19 @@ TEST(ServiceShard, BadRequestsGetStatusNotDisconnect) {
 
   const auto a = erdos_renyi<IT, VT>(50, 50, 4, 6);
   const auto bad_b = erdos_renyi<IT, VT>(40, 40, 4, 7);  // shape mismatch
-  send_frame(*client, MessageType::kRequest, 1,
-             encode_request(a, bad_b, a, MaskedOptions{}));
+  send_register(*client, 1, bad_b);
+  send_submit(*client, 1, 1, 0, &a, &a);
 
   // MCA × complement is rejected by the registry.
   MaskedOptions mca;
   mca.algo = MaskedAlgo::kMCA;
   mca.kind = MaskKind::kComplement;
-  send_frame(*client, MessageType::kRequest, 2, encode_request(a, a, a, mca));
+  send_register(*client, 2, a, &a);
+  send_submit(*client, 2, 2, kSubAIsB | kSubMRegistered, nullptr, nullptr,
+              mca);
 
   // The connection survives both; a valid request still works.
-  send_frame(*client, MessageType::kRequest, 3,
-             encode_request(a, a, a, MaskedOptions{}));
+  send_submit(*client, 3, 2, kSubAIsB | kSubMRegistered);
 
   FrameHeader h;
   std::vector<std::uint8_t> reply;
@@ -142,15 +168,14 @@ TEST(ServiceShard, OverloadAnswersKOverloadedUnderRejectPolicy) {
   shard.executor().pool().submit_detached([opened] { opened.wait(); });
 
   const auto a = erdos_renyi<IT, VT>(60, 60, 5, 8);
-  send_frame(*client, MessageType::kRequest, 1,
-             encode_request(a, a, a, MaskedOptions{}));
+  send_register(*client, 1, a, &a);
+  send_submit(*client, 1, 1, kSubAIsB | kSubMRegistered);
   // Wait until request 1 holds the executor's only admission slot before
   // sending request 2 (submission happens on the shard's reader thread).
   while (shard.stats().jobs_submitted < 1) {
     std::this_thread::yield();
   }
-  send_frame(*client, MessageType::kRequest, 2,
-             encode_request(a, a, a, MaskedOptions{}));
+  send_submit(*client, 2, 1, kSubAIsB | kSubMRegistered);
   // Request 2 must be rejected while request 1 still holds the slot — wait
   // for the executor's rejection counter before opening the gate, or the
   // gate could free the slot first and request 2 would be admitted.
@@ -175,29 +200,42 @@ TEST(ServiceShard, OverloadAnswersKOverloadedUnderRejectPolicy) {
   EXPECT_EQ(st.errors, 0u);
 }
 
-TEST(ServiceShard, StatsRequestAnswersOverTheWire) {
-  Shard shard;
+TEST(ServiceShard, CountersShowInStatsAndMetricsPage) {
+  ShardConfig cfg;
+  cfg.name = "s0";
+  Shard shard(cfg);
   auto [client, server] = loopback_pair();
   shard.attach(std::move(server));
 
   const auto a = erdos_renyi<IT, VT>(70, 70, 5, 9);
-  for (int i = 0; i < 3; ++i) {
-    send_frame(*client, MessageType::kRequest, 10 + i,
-               encode_request(a, a, a, MaskedOptions{}));
-  }
+  send_register(*client, 1, a, &a);
+  // One at a time, so the repeats find the plan idle and count as hits.
   FrameHeader h;
   std::vector<std::uint8_t> reply;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(recv_frame(*client, h, reply));
+  for (int i = 0; i < 3; ++i) {
+    send_submit(*client, 10 + i, 1, kSubAIsB | kSubMRegistered);
+    ASSERT_TRUE(recv_frame(*client, h, reply));
+  }
 
-  send_frame(*client, MessageType::kStatsRequest, 99, {});
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ(h.type, MessageType::kStatsResponse);
-  EXPECT_EQ(h.request_id, 99u);
-  const auto stats = decode_stats(reply);
+  const auto stats = shard.stats();
   EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.registrations, 1u);
   EXPECT_EQ(stats.jobs_submitted, 3u);
   EXPECT_GE(stats.cache_hits, 2u);
   EXPECT_GT(stats.cache_bytes, 0u);
+
+  // The same counters reach a remote reader through the metrics page.
+  send_frame(*client, MessageType::kMetricsRequest, 99, {});
+  ASSERT_TRUE(recv_frame(*client, h, reply));
+  EXPECT_EQ(h.type, MessageType::kMetricsResponse);
+  EXPECT_EQ(h.request_id, 99u);
+  const std::string page = decode_metrics_text(reply);
+  EXPECT_NE(page.find("msx_shard_requests_total{shard=\"s0\"} 3"),
+            std::string::npos);
+  EXPECT_NE(page.find("msx_shard_registrations_total{shard=\"s0\"} 1"),
+            std::string::npos);
+  EXPECT_NE(page.find("msx_shard_responses_total{shard=\"s0\"} 3"),
+            std::string::npos);
 }
 
 TEST(ServiceShard, ServesListenerAcrossMultipleConnections) {
@@ -215,10 +253,11 @@ TEST(ServiceShard, ServesListenerAcrossMultipleConnections) {
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
       auto stream = raw->connect();
+      // Registrations are connection-scoped: each client installs its own.
+      send_register(*stream, 1, a, &m);
       for (int r = 0; r < 5; ++r) {
-        send_frame(*stream, MessageType::kRequest,
-                   static_cast<std::uint64_t>(c * 100 + r),
-                   encode_request(a, a, m, MaskedOptions{}));
+        send_submit(*stream, static_cast<std::uint64_t>(c * 100 + r), 1,
+                    kSubAIsB | kSubMRegistered);
         FrameHeader h;
         std::vector<std::uint8_t> reply;
         if (!recv_frame(*stream, h, reply) ||
@@ -231,39 +270,51 @@ TEST(ServiceShard, ServesListenerAcrossMultipleConnections) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(shard.stats().requests, 20u);
+  EXPECT_EQ(shard.stats().registrations, 4u);
 }
 
-// Wire v2<->v3 compatibility: a peer speaking an older wire version gets a
+// Wire compatibility: a peer speaking an older wire version gets a
 // versioned kBadRequest on its own request id and a clean close — no hang,
-// no silent drop (ISSUE 7 satellite).
+// no silent drop. That includes a v5 peer still sending the stateless
+// request retired in v6 (type 1).
 TEST(ServiceShard, OlderWireVersionPeerIsRejectedWithVersionedError) {
-  Shard shard;
-  auto [client, server] = loopback_pair();
-  shard.attach(std::move(server));
+  struct Peer {
+    std::uint8_t version;
+    std::uint8_t type;
+  };
+  for (const Peer peer : {Peer{2, 6}, Peer{5, 1}}) {
+    Shard shard;
+    auto [client, server] = loopback_pair();
+    shard.attach(std::move(server));
 
-  // Hand-assemble a v2-stamped frame: current header layout, version bytes
-  // patched, arbitrary payload (a v2 peer's encoding differs — the shard
-  // must answer from the header alone).
-  const std::vector<std::uint8_t> payload = {0xde, 0xad, 0xbe, 0xef};
-  auto frame = encode_frame_header(MessageType::kRequest, 123, payload);
-  frame[4] = 2;
-  frame[5] = 0;
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  client->write_all(frame.data(), frame.size());
+    // Hand-assemble an old-version frame: current header layout, version
+    // and type bytes patched, arbitrary payload (an old peer's encoding
+    // differs — the shard must answer from the header alone).
+    const std::vector<std::uint8_t> payload = {0xde, 0xad, 0xbe, 0xef};
+    auto frame =
+        encode_frame_header(MessageType::kSubmitRequest, 123, payload);
+    frame[4] = peer.version;
+    frame[5] = 0;
+    frame[6] = peer.type;
+    frame[7] = 0;
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    client->write_all(frame.data(), frame.size());
 
-  FrameHeader h;
-  std::vector<std::uint8_t> reply;
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ(h.type, MessageType::kResponse);
-  EXPECT_EQ(h.request_id, 123u);
-  const auto resp = decode_response<IT, VT>(reply);
-  EXPECT_EQ(resp.status, WireStatus::kBadRequest);
-  EXPECT_NE(resp.message.find("version 2"), std::string::npos);
-  EXPECT_NE(resp.message.find("version " + std::to_string(kWireVersion)),
-            std::string::npos);
+    FrameHeader h;
+    std::vector<std::uint8_t> reply;
+    ASSERT_TRUE(recv_frame(*client, h, reply));
+    EXPECT_EQ(h.type, MessageType::kResponse);
+    EXPECT_EQ(h.request_id, 123u);
+    const auto resp = decode_response<IT, VT>(reply);
+    EXPECT_EQ(resp.status, WireStatus::kBadRequest);
+    EXPECT_NE(resp.message.find("version " + std::to_string(peer.version)),
+              std::string::npos);
+    EXPECT_NE(resp.message.find("version " + std::to_string(kWireVersion)),
+              std::string::npos);
 
-  // The shard closes the connection after the versioned error: the next read
-  // sees EOF, never a hang.
-  EXPECT_FALSE(recv_frame(*client, h, reply));
-  EXPECT_GE(shard.stats().errors, 1u);
+    // The shard closes the connection after the versioned error: the next
+    // read sees EOF, never a hang.
+    EXPECT_FALSE(recv_frame(*client, h, reply));
+    EXPECT_GE(shard.stats().errors, 1u);
+  }
 }

@@ -1,4 +1,4 @@
-// Wire protocol: frame headers, checksums, request/response/stats round
+// Wire protocol: frame headers, checksums, register/submit/response round
 // trips over generated matrices, and clean rejection of truncated/corrupt
 // frames (ISSUE 4 satellite).
 #include <gtest/gtest.h>
@@ -44,6 +44,14 @@ Mat with_empty_rows(const Mat& src) {
              std::move(values));
 }
 
+// Contiguous register payload for {B[, M]} (the gather encoder, flattened).
+std::vector<std::uint8_t> register_payload(const Mat& b,
+                                           const Mat* m = nullptr) {
+  GatherPayload g;
+  encode_register_parts(g, 1, 1, b, m);
+  return g.flatten();
+}
+
 }  // namespace
 
 TEST(WireFrame, HeaderRoundTrip) {
@@ -61,7 +69,7 @@ TEST(WireFrame, HeaderRoundTrip) {
 
 TEST(WireFrame, RejectsBadMagicVersionTypeAndLength) {
   const std::vector<std::uint8_t> payload = {9, 9};
-  auto good = encode_frame_header(MessageType::kRequest, 1, payload);
+  auto good = encode_frame_header(MessageType::kSubmitRequest, 1, payload);
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
@@ -92,7 +100,7 @@ TEST(WireFrame, ChecksumCatchesCorruptPayload) {
     payload[i] = static_cast<std::uint8_t>(i * 7);
   }
   const auto h = decode_frame_header(
-      encode_frame_header(MessageType::kRequest, 7, payload));
+      encode_frame_header(MessageType::kSubmitRequest, 7, payload));
   EXPECT_NO_THROW(verify_payload(h, payload));
   for (std::size_t flip : {std::size_t{0}, payload.size() / 2,
                            payload.size() - 1}) {
@@ -105,7 +113,22 @@ TEST(WireFrame, ChecksumCatchesCorruptPayload) {
   EXPECT_THROW(verify_payload(h, truncated), WireError);
 }
 
-TEST(WireRequest, RoundTripsGeneratedMatrices) {
+TEST(WireFrame, RetiredMessageTypesAreRejected) {
+  // Types 1 (stateless request) and 3/4 (stats probe) were retired in v6;
+  // their numbers are never reused, so a frame carrying one is unknown.
+  const std::vector<std::uint8_t> payload = {1};
+  auto header = encode_frame_header(MessageType::kResponse, 3, payload);
+  for (int type : {1, 3, 4}) {
+    header[6] = static_cast<std::uint8_t>(type);
+    EXPECT_THROW(decode_frame_header(header), WireError) << type;
+  }
+  for (int type : {2, 5, 6, 7, 8, 9, 10}) {
+    header[6] = static_cast<std::uint8_t>(type);
+    EXPECT_EQ(static_cast<int>(decode_frame_header(header).type), type);
+  }
+}
+
+TEST(WireSession, RoundTripsGeneratedMatrices) {
   struct Case {
     Mat a, b, m;
   };
@@ -130,104 +153,112 @@ TEST(WireRequest, RoundTripsGeneratedMatrices) {
     opts.heap_ninspect = 3;
     opts.inner_gallop = true;
 
-    const auto payload = encode_request(tc.a, tc.b, tc.m, opts);
-    const auto req = decode_request<IT, VT>(payload);
-    EXPECT_FALSE(req.b_is_a);
-    EXPECT_TRUE(req.a == tc.a) << c;
-    EXPECT_TRUE(req.b() == tc.b) << c;
-    EXPECT_TRUE(req.mask() == tc.m) << c;
-    EXPECT_EQ(req.opts.algo, opts.algo);
-    EXPECT_EQ(req.opts.kind, opts.kind);
-    EXPECT_EQ(req.opts.phases, opts.phases);
-    EXPECT_EQ(req.opts.heap_ninspect, opts.heap_ninspect);
-    EXPECT_EQ(req.opts.inner_gallop, opts.inner_gallop);
-    // Fingerprint parity: the shard-side key equals the client-side key —
-    // the invariant fingerprint-affinity routing stands on.
-    EXPECT_EQ(req.fingerprint(), plan_fingerprint(tc.a, tc.b, tc.m, opts))
-        << c;
+    const auto reg = decode_register<IT, VT>(register_payload(tc.b, &tc.m));
+    EXPECT_TRUE(reg.has_mask);
+    EXPECT_FALSE(reg.mask_is_b);
+    EXPECT_TRUE(reg.b == tc.b) << c;
+    EXPECT_TRUE(reg.m_storage == tc.m) << c;
+
+    // A and an override mask inline.
+    GatherPayload g;
+    encode_submit_parts<IT, VT>(g, 1, 1, 0, &tc.a, &tc.m, opts);
+    const auto sub = decode_submit<IT, VT>(g.flatten());
+    EXPECT_TRUE(sub.a_storage == tc.a) << c;
+    EXPECT_TRUE(sub.m_storage == tc.m) << c;
+    EXPECT_EQ(sub.opts.algo, opts.algo);
+    EXPECT_EQ(sub.opts.kind, opts.kind);
+    EXPECT_EQ(sub.opts.phases, opts.phases);
+    EXPECT_EQ(sub.opts.heap_ninspect, opts.heap_ninspect);
+    EXPECT_EQ(sub.opts.inner_gallop, opts.inner_gallop);
   }
 }
 
-TEST(WireRequest, PreservesAliasing) {
-  const auto a = erdos_renyi<IT, VT>(50, 50, 5, 21);
-  const auto m = erdos_renyi<IT, VT>(50, 50, 6, 22);
-  MaskedOptions opts;
-
-  {
-    // B aliases A (and is sent once).
-    const auto payload = encode_request(a, a, m, opts);
-    const auto distinct = encode_request(a, Mat(a), m, opts);
-    EXPECT_LT(payload.size(), distinct.size());
-    const auto req = decode_request<IT, VT>(payload);
-    EXPECT_TRUE(req.b_is_a);
-    EXPECT_EQ(static_cast<const void*>(&req.b()),
-              static_cast<const void*>(&req.a));
-    EXPECT_EQ(req.fingerprint(), plan_fingerprint(a, a, m, opts));
-  }
-  {
-    // Fully aliased (k-truss shape): one matrix on the wire.
-    const auto payload = encode_request(a, a, a, opts);
-    const auto req = decode_request<IT, VT>(payload);
-    EXPECT_TRUE(req.b_is_a);
-    EXPECT_TRUE(req.m_is_a);
-    EXPECT_TRUE(req.a == a);
-    EXPECT_EQ(req.fingerprint(), plan_fingerprint(a, a, a, opts));
-  }
-  {
-    // M aliases B.
-    const auto b = erdos_renyi<IT, VT>(50, 50, 5, 23);
-    const auto payload = encode_request(a, b, b, opts);
-    const auto req = decode_request<IT, VT>(payload);
-    EXPECT_FALSE(req.b_is_a);
-    EXPECT_TRUE(req.m_is_b);
-    EXPECT_EQ(req.fingerprint(), plan_fingerprint(a, b, b, opts));
-  }
+TEST(WireSession, RegisterSendsAliasedMaskOnce) {
+  const auto b = erdos_renyi<IT, VT>(50, 50, 5, 21);
+  const auto aliased = register_payload(b, &b);
+  const Mat copy(b);
+  const auto distinct = register_payload(b, &copy);
+  EXPECT_LT(aliased.size(), distinct.size());
+  const auto reg = decode_register<IT, VT>(aliased);
+  EXPECT_TRUE(reg.mask_is_b);
+  EXPECT_TRUE(reg.b == b);
 }
 
-TEST(WireRequest, RejectsTruncatedAndTrailingPayloads) {
+TEST(WireSession, RejectsTruncatedAndTrailingPayloads) {
   const auto a = erdos_renyi<IT, VT>(40, 40, 5, 31);
-  const auto payload = encode_request(a, a, a, MaskedOptions{});
+  const auto reg = register_payload(a, &a);
+  GatherPayload g;
+  encode_submit_parts<IT, VT>(g, 1, 1, 0, &a, &a, MaskedOptions{});
+  const auto sub = g.flatten();
   // Any truncation point must throw, never crash or mis-decode.
-  for (std::size_t len : {std::size_t{0}, payload.size() / 4,
-                          payload.size() / 2, payload.size() - 1}) {
-    const std::span<const std::uint8_t> cut(payload.data(), len);
-    EXPECT_THROW((decode_request<IT, VT>(cut)), WireError) << len;
+  for (const auto* payload : {&reg, &sub}) {
+    for (std::size_t len : {std::size_t{0}, payload->size() / 4,
+                            payload->size() / 2, payload->size() - 1}) {
+      const std::span<const std::uint8_t> cut(payload->data(), len);
+      if (payload == &reg) {
+        EXPECT_THROW((decode_register<IT, VT>(cut)), WireError) << len;
+      } else {
+        EXPECT_THROW((decode_submit<IT, VT>(cut)), WireError) << len;
+      }
+    }
   }
-  auto trailing = payload;
-  trailing.push_back(0);
-  EXPECT_THROW((decode_request<IT, VT>(trailing)), WireError);
+  auto trailing_reg = reg;
+  trailing_reg.push_back(0);
+  EXPECT_THROW((decode_register<IT, VT>(trailing_reg)), WireError);
+  auto trailing_sub = sub;
+  trailing_sub.push_back(0);
+  EXPECT_THROW((decode_submit<IT, VT>(trailing_sub)), WireError);
 }
 
-TEST(WireRequest, RejectsTypeMismatchAndBadEnums) {
+TEST(WireSession, RejectsTypeMismatchAndBadEnums) {
   const auto a = erdos_renyi<IT, VT>(30, 30, 4, 41);
-  const auto payload = encode_request(a, a, a, MaskedOptions{});
   // Decoding with the wrong value type must fail loudly.
-  EXPECT_THROW((decode_request<IT, float>(payload)), WireError);
+  EXPECT_THROW((decode_register<IT, float>(register_payload(a))), WireError);
+  GatherPayload g;
+  encode_submit_parts<IT, VT>(g, 1, 1, kSubMRegistered, &a, nullptr,
+                              MaskedOptions{});
+  const auto payload = g.flatten();
+  EXPECT_THROW((decode_submit<IT, float>(payload)), WireError);
 
-  // Poison the algo enum (first options field, right after the alias byte).
+  // Poison the algo enum: the first options field, after the structure id,
+  // version and flag byte.
   auto bad = payload;
-  bad[1] = 0x7F;
-  EXPECT_THROW((decode_request<IT, VT>(bad)), WireError);
+  bad[17] = 0x7F;
+  EXPECT_THROW((decode_submit<IT, VT>(bad)), WireError);
 }
 
-TEST(WireRequest, RejectsInvalidCsrStructure) {
+TEST(WireSession, RejectsInvalidCsrStructure) {
   // A structurally broken matrix (rowptr not matching nnz) must be caught
   // by the decoder even though the checksum would pass.
-  WireWriter w;
-  w.put_u8(kAliasBIsA | kAliasMIsA);
-  write_options(w, MaskedOptions{});
-  w.put_u8(sizeof(IT));
-  w.put_u8(WireValueCode<VT>::value);
-  w.put_u64(2);  // nrows
-  w.put_u64(2);  // ncols
-  const IT rowptr[] = {0, 1, 3};  // claims 3 nnz
-  const IT colidx[] = {0, 1};     // but carries 2
-  const VT values[] = {1.0, 2.0};
-  w.put_array(std::span<const IT>(rowptr));
-  w.put_array(std::span<const IT>(colidx));
-  w.put_array(std::span<const VT>(values));
-  const auto payload = w.take();
-  EXPECT_THROW((decode_request<IT, VT>(payload)), WireError);
+  auto put_broken_csr = [](WireWriter& w) {
+    w.put_u8(sizeof(IT));
+    w.put_u8(WireValueCode<VT>::value);
+    w.put_u64(2);  // nrows
+    w.put_u64(2);  // ncols
+    const IT rowptr[] = {0, 1, 3};  // claims 3 nnz
+    const IT colidx[] = {0, 1};     // but carries 2
+    const VT values[] = {1.0, 2.0};
+    w.put_array(std::span<const IT>(rowptr));
+    w.put_array(std::span<const IT>(colidx));
+    w.put_array(std::span<const VT>(values));
+  };
+  {
+    WireWriter w;
+    w.put_u64(1);  // structure id
+    w.put_u64(1);  // version
+    w.put_u8(0);   // no mask
+    put_broken_csr(w);
+    EXPECT_THROW((decode_register<IT, VT>(w.bytes())), WireError);
+  }
+  {
+    WireWriter w;
+    w.put_u64(1);
+    w.put_u64(1);
+    w.put_u8(kSubMRegistered);  // A inline, registered mask
+    write_options(w, MaskedOptions{});
+    put_broken_csr(w);
+    EXPECT_THROW((decode_submit<IT, VT>(w.bytes())), WireError);
+  }
 }
 
 TEST(WireResponse, RoundTripsResultAndErrors) {
@@ -245,44 +276,14 @@ TEST(WireResponse, RoundTripsResultAndErrors) {
   EXPECT_THROW((decode_response<IT, VT>(junk)), WireError);
 }
 
-TEST(WireStats, RoundTrips) {
-  ServiceStats s;
-  s.requests = 10;
-  s.responses = 9;
-  s.errors = 1;
-  s.overloaded = 2;
-  s.bytes_in = 1234;
-  s.bytes_out = 4321;
-  s.jobs_submitted = 8;
-  s.jobs_completed = 7;
-  s.cache_hits = 6;
-  s.cache_misses = 2;
-  s.cache_grows = 1;
-  s.cache_evictions = 3;
-  s.cache_instances = 4;
-  s.cache_bytes = 99999;
-  const auto got = decode_stats(encode_stats(s));
-  EXPECT_EQ(got.requests, s.requests);
-  EXPECT_EQ(got.responses, s.responses);
-  EXPECT_EQ(got.errors, s.errors);
-  EXPECT_EQ(got.overloaded, s.overloaded);
-  EXPECT_EQ(got.bytes_in, s.bytes_in);
-  EXPECT_EQ(got.bytes_out, s.bytes_out);
-  EXPECT_EQ(got.jobs_submitted, s.jobs_submitted);
-  EXPECT_EQ(got.jobs_completed, s.jobs_completed);
-  EXPECT_EQ(got.cache_hits, s.cache_hits);
-  EXPECT_EQ(got.cache_bytes, s.cache_bytes);
-  EXPECT_NEAR(got.warm_hit_rate(), 6.0 / 9.0, 1e-12);
-}
-
 TEST(WireTransport, FramesCrossLoopbackAndRejectCorruption) {
   auto [client, server] = loopback_pair();
   const auto a = erdos_renyi<IT, VT>(64, 64, 5, 61);
-  const auto payload = encode_request(a, a, a, MaskedOptions{});
+  const auto payload = register_payload(a, &a);
 
   // Clean frame round trip.
   std::thread writer([&, &client = client] {
-    send_frame(*client, MessageType::kRequest, 77, payload);
+    send_frame(*client, MessageType::kRegisterRequest, 77, payload);
   });
   FrameHeader h;
   std::vector<std::uint8_t> got;
@@ -290,10 +291,10 @@ TEST(WireTransport, FramesCrossLoopbackAndRejectCorruption) {
   writer.join();
   EXPECT_EQ(h.request_id, 77u);
   EXPECT_EQ(got.size(), payload.size());
-  EXPECT_TRUE((decode_request<IT, VT>(got).a == a));
+  EXPECT_TRUE((decode_register<IT, VT>(got).b == a));
 
   // Corrupt payload byte: checksum must reject it.
-  auto corrupt = frame_bytes(MessageType::kRequest, 78, payload);
+  auto corrupt = frame_bytes(MessageType::kRegisterRequest, 78, payload);
   corrupt[kFrameHeaderBytes + 10] ^= 0x40;
   std::thread corruptor([&, &client = client] {
     client->write_all(corrupt.data(), corrupt.size());
@@ -304,8 +305,8 @@ TEST(WireTransport, FramesCrossLoopbackAndRejectCorruption) {
 
 TEST(WireTransport, TruncatedFrameAndCleanEofAreDistinct) {
   const auto a = erdos_renyi<IT, VT>(32, 32, 4, 71);
-  const auto payload = encode_request(a, a, a, MaskedOptions{});
-  const auto full = frame_bytes(MessageType::kRequest, 5, payload);
+  const auto payload = register_payload(a, &a);
+  const auto full = frame_bytes(MessageType::kRegisterRequest, 5, payload);
 
   {
     // Cut mid-payload: the reader must see a WireError, not a silent EOF.
@@ -338,11 +339,11 @@ TEST(WireTransport, UnixSocketRoundTrip) {
   const std::string path = testing::TempDir() + "msx_wire_test.sock";
   auto listener = listen_unix(path);
   const auto a = erdos_renyi<IT, VT>(48, 48, 5, 81);
-  const auto payload = encode_request(a, a, a, MaskedOptions{});
+  const auto payload = register_payload(a, &a);
 
   std::thread client_thread([&] {
     auto c = connect_unix(path);
-    send_frame(*c, MessageType::kRequest, 9, payload);
+    send_frame(*c, MessageType::kRegisterRequest, 9, payload);
     FrameHeader h;
     std::vector<std::uint8_t> reply;
     ASSERT_TRUE(recv_frame(*c, h, reply));
@@ -355,7 +356,7 @@ TEST(WireTransport, UnixSocketRoundTrip) {
   FrameHeader h;
   std::vector<std::uint8_t> got;
   ASSERT_TRUE(recv_frame(*conn, h, got));
-  EXPECT_TRUE((decode_request<IT, VT>(got).a == a));
+  EXPECT_TRUE((decode_register<IT, VT>(got).b == a));
   send_frame(*conn, MessageType::kResponse, h.request_id,
              encode_response(a));
   client_thread.join();
@@ -365,19 +366,25 @@ TEST(WireTransport, UnixSocketRoundTrip) {
 
 TEST(WireGather, PartsChecksumAndBytesMatchContiguous) {
   const auto a = erdos_renyi<IT, VT>(40, 40, 5, 7);
-  const auto b = erdos_renyi<IT, VT>(40, 40, 5, 8);
   const auto m = erdos_renyi<IT, VT>(40, 40, 6, 9);
 
   GatherPayload g;
-  encode_request_parts(g, a, b, m, MaskedOptions{});
+  encode_submit_parts<IT, VT>(g, 5, 2, 0, &a, &m, MaskedOptions{});
   const auto flat = g.flatten();
   EXPECT_EQ(flat.size(), g.total_bytes());
   // The multi-span hash must agree bit-for-bit with the contiguous hash the
   // receiver verifies — the invariant the whole gather path rests on.
   EXPECT_EQ(plan_hash_parts(kWireChecksumSeed, g.parts()),
             plan_hash_bytes(kWireChecksumSeed, flat.data(), flat.size()));
-  // And the flattened image is exactly the classic encoding.
-  EXPECT_EQ(flat, encode_request(a, b, m, MaskedOptions{}));
+  // And the flattened image is exactly the contiguous WireWriter encoding.
+  WireWriter w;
+  w.put_u64(5);
+  w.put_u64(2);
+  w.put_u8(0);
+  write_options(w, MaskedOptions{});
+  write_csr(w, a);
+  write_csr(w, m);
+  EXPECT_EQ(flat, w.take());
 }
 
 TEST(WireGather, FrameCrossesLoopbackViaWritev) {
