@@ -4,22 +4,19 @@
 
 namespace msx::adaptive {
 
-FeedbackStore::FeedbackStore() {
-  auto& reg = obs::Registry::global();
-  plans_total_ = reg.counter("msx_adaptive_plans_total");
-  mode_blocks_total_[0] =
-      reg.counter("msx_adaptive_mode_blocks_total", "mode=\"sparse\"");
-  mode_blocks_total_[1] =
-      reg.counter("msx_adaptive_mode_blocks_total", "mode=\"bitmap\"");
-  mode_blocks_total_[2] =
-      reg.counter("msx_adaptive_mode_blocks_total", "mode=\"dense\"");
-  records_total_ = reg.counter("msx_adaptive_feedback_records_total");
-  feedback_hits_total_ = reg.counter("msx_adaptive_feedback_hits_total");
-  remodes_total_ = reg.counter("msx_adaptive_remodes_total");
-}
+FeedbackStore::FeedbackStore(obs::Registry& metrics)
+    : plans_total_(metrics.counter("msx_adaptive_plans_total")),
+      mode_blocks_total_{
+          metrics.counter("msx_adaptive_mode_blocks_total", "mode=\"sparse\""),
+          metrics.counter("msx_adaptive_mode_blocks_total", "mode=\"bitmap\""),
+          metrics.counter("msx_adaptive_mode_blocks_total", "mode=\"dense\"")},
+      records_total_(metrics.counter("msx_adaptive_feedback_records_total")),
+      blocks_total_(metrics.counter("msx_adaptive_feedback_blocks_total")),
+      feedback_hits_total_(metrics.counter("msx_adaptive_feedback_hits_total")),
+      remodes_total_(metrics.counter("msx_adaptive_remodes_total")) {}
 
 FeedbackStore& FeedbackStore::global() {
-  static FeedbackStore* store = new FeedbackStore();
+  static FeedbackStore* store = new FeedbackStore(obs::Registry::global());
   return *store;
 }
 
@@ -33,7 +30,6 @@ void FeedbackStore::record(std::uint64_t digest, const RowPartition& part,
   MutexLock lock(&mu_);
   if (store_.size() >= kMaxEntries && store_.find(digest) == store_.end()) {
     store_.clear();
-    stats_.entries = 0;
   }
   Entry& e = store_[digest];
   if (e.blocks.size() != nb) e.blocks.assign(nb, BlockObs{});
@@ -54,10 +50,8 @@ void FeedbackStore::record(std::uint64_t digest, const RowPartition& part,
     }
     ++absorbed;
   }
-  stats_.records += 1;
-  stats_.blocks_recorded += absorbed;
-  stats_.entries = store_.size();
   records_total_->inc();
+  blocks_total_->inc(absorbed);
 }
 
 int FeedbackStore::remode(std::uint64_t digest, RowPartition& part) {
@@ -71,7 +65,6 @@ int FeedbackStore::remode(std::uint64_t digest, RowPartition& part) {
   if (it == store_.end()) return 0;
   const Entry& e = it->second;
   if (e.blocks.size() != nb) return 0;  // partition reshaped; stale data
-  stats_.feedback_hits += 1;
   feedback_hits_total_->inc();
 
   // Unobserved modes are priced coeff × prediction; with no coefficient for
@@ -112,10 +105,7 @@ int FeedbackStore::remode(std::uint64_t digest, RowPartition& part) {
       ++changed;
     }
   }
-  if (changed > 0) {
-    stats_.remodes += static_cast<std::uint64_t>(changed);
-    remodes_total_->inc(static_cast<std::uint64_t>(changed));
-  }
+  if (changed > 0) remodes_total_->inc(static_cast<std::uint64_t>(changed));
   return changed;
 }
 
@@ -124,13 +114,6 @@ void FeedbackStore::note_planned(const RowPartition& part) {
   for (const std::uint8_t m : part.block_mode) {
     per_mode[std::min<int>(m, kBlockModeCount - 1)] += 1;
   }
-  {
-    MutexLock lock(&mu_);
-    stats_.plans += 1;
-    for (int m = 0; m < kBlockModeCount; ++m) {
-      stats_.mode_blocks[m] += per_mode[m];
-    }
-  }
   plans_total_->inc();
   for (int m = 0; m < kBlockModeCount; ++m) {
     if (per_mode[m] > 0) mode_blocks_total_[m]->inc(per_mode[m]);
@@ -138,14 +121,23 @@ void FeedbackStore::note_planned(const RowPartition& part) {
 }
 
 FeedbackStats FeedbackStore::stats() const {
+  FeedbackStats out;
+  out.plans = plans_total_->value();
+  for (int m = 0; m < kBlockModeCount; ++m) {
+    out.mode_blocks[m] = mode_blocks_total_[m]->value();
+  }
+  out.records = records_total_->value();
+  out.blocks_recorded = blocks_total_->value();
+  out.feedback_hits = feedback_hits_total_->value();
+  out.remodes = remodes_total_->value();
   MutexLock lock(&mu_);
-  return stats_;
+  out.entries = store_.size();
+  return out;
 }
 
 void FeedbackStore::clear() {
   MutexLock lock(&mu_);
   store_.clear();
-  stats_ = FeedbackStats{};
 }
 
 }  // namespace msx::adaptive

@@ -21,8 +21,9 @@
 // scratch.
 //
 // Process-wide singleton (global()), mutex-guarded; safe to use from
-// concurrent plans. Publishes msx_adaptive_* counters on the global obs
-// registry (mode histogram, re-mode count, feedback hits).
+// concurrent plans. Its activity is counted in msx_adaptive_* counters on
+// the registry it was built with (global() uses the global registry; tests
+// build private stores on private registries).
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,9 @@
 
 namespace msx::adaptive {
 
-// Snapshot of the store's activity (tests, bench reporting). The same
-// numbers are exported as msx_adaptive_* counters.
+// Read view of the store's activity (tests, bench reporting): the counted
+// fields are the store's msx_adaptive_* counters; `entries` is the store's
+// current size.
 struct FeedbackStats {
   std::uint64_t plans = 0;       // mode plannings observed
   std::uint64_t mode_blocks[kBlockModeCount] = {0, 0, 0};  // planned modes
@@ -52,7 +54,7 @@ struct FeedbackStats {
 
 class FeedbackStore {
  public:
-  FeedbackStore();
+  explicit FeedbackStore(obs::Registry& metrics);
 
   // Process-wide store shared by every adaptive plan.
   static FeedbackStore& global();
@@ -77,6 +79,7 @@ class FeedbackStore {
   FeedbackStats stats() const;
 
   // Drops every observation (tests; also the crude size bound on overflow).
+  // Counts are not observations: stats() keeps them.
   void clear();
 
  private:
@@ -103,12 +106,12 @@ class FeedbackStore {
 
   mutable Mutex mu_{LockRank::kAdaptiveFeedback, "FeedbackStore::mu_"};
   std::unordered_map<std::uint64_t, Entry> store_ MSX_GUARDED_BY(mu_);
-  FeedbackStats stats_ MSX_GUARDED_BY(mu_);
 
-  // Counter handles resolved once against obs::Registry::global().
+  // Counter handles resolved once at construction.
   obs::Counter* plans_total_;
   obs::Counter* mode_blocks_total_[kBlockModeCount];
   obs::Counter* records_total_;
+  obs::Counter* blocks_total_;
   obs::Counter* feedback_hits_total_;
   obs::Counter* remodes_total_;
 };

@@ -169,7 +169,6 @@ class LocalBackend final : public Backend<SR, IT, VT> {
 
   // Client-side series plus the in-process executor's registry.
   std::string metrics() override {
-    exec_->publish_metrics();
     return obs::Registry::global().render() + exec_->metrics().render();
   }
 

@@ -91,6 +91,7 @@ struct ShardedBackendConfig {
   std::uint64_t dist_flop_threshold = 1ull << 26;
 };
 
+// Read view over the msx_backend_* counters and the per-shard EWMA state.
 struct ShardedBackendStats {
   std::vector<std::uint64_t> routed;   // kOk completions per shard
   // Per-shard EWMA of shard-reported execute time (wire v4 exec_nanos),
@@ -140,12 +141,21 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
         cfg_(cfg),
         ring_(endpoints_.size(), cfg.vnodes),
         down_(endpoints_.size(), 0),
-        routed_(endpoints_.size(), 0),
         ewma_nanos_(endpoints_.size(), 0.0) {
     check_arg(!endpoints_.empty(), "ShardedBackend: no shard endpoints");
+    metrics_.gauge_fn("msx_backend_inflight", "", [this] {
+      MutexLock lock(&mu_);
+      return static_cast<double>(inflight_total_);
+    });
     conns_.reserve(endpoints_.size());
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       conns_.push_back(std::make_unique<Conn>());
+      const std::string label = "shard=\"" + endpoints_[i].name + "\"";
+      routed_.push_back(metrics_.counter("msx_backend_routed_total", label));
+      metrics_.gauge_fn("msx_backend_ewma_nanos", label,
+                        [this, i] { return stats().ewma_nanos[i]; });
+      metrics_.gauge_fn("msx_backend_shard_up", label,
+                        [this, i] { return is_down(i) ? 0.0 : 1.0; });
     }
     if (cfg_.probe_interval.count() > 0) {
       prober_ = std::thread([this] { probe_loop(); });
@@ -256,11 +266,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       r.message = s == nullptr
                       ? "unknown structure id " + std::to_string(structure_id)
                       : "null A operand";
-      {
-        MutexLock lock(&mu_);
-        ++submitted_;
-        ++inflight_total_;
-      }
+      begin_request();
       finish(req, std::move(r));
       return;
     }
@@ -272,11 +278,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     req->priority = priority;
     req->excluded.assign(endpoints_.size(), 0);
     req->point = route_point(*req);
-    {
-      MutexLock lock(&mu_);
-      ++submitted_;
-      ++inflight_total_;
-    }
+    begin_request();
     if (try_submit_2d(req)) return;
     dispatch(req);
   }
@@ -293,31 +295,6 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
   // fresh dial). Down or unreachable shards are skipped — a metrics scrape
   // must never fail because part of the fleet is.
   std::string metrics() override {
-    const ShardedBackendStats s = stats();
-    metrics_.counter("msx_backend_submitted_total")->set(s.submitted);
-    metrics_.counter("msx_backend_completed_total")->set(s.completed);
-    metrics_.counter("msx_backend_failover_resubmits_total")
-        ->set(s.failover_resubmits);
-    metrics_.counter("msx_backend_overload_reroutes_total")
-        ->set(s.overload_reroutes);
-    metrics_.counter("msx_backend_down_marks_total")->set(s.down_marks);
-    metrics_.counter("msx_backend_probes_total")->set(s.probes);
-    metrics_.counter("msx_backend_rejoins_total")->set(s.rejoins);
-    metrics_.counter("msx_backend_dist2d_products_total")
-        ->set(s.dist2d_products);
-    metrics_.counter("msx_backend_dist2d_panels_total")->set(s.dist2d_panels);
-    {
-      MutexLock lock(&mu_);
-      metrics_.gauge("msx_backend_inflight")
-          ->set(static_cast<double>(inflight_total_));
-    }
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      const std::string label = "shard=\"" + endpoints_[i].name + "\"";
-      metrics_.counter("msx_backend_routed_total", label)->set(s.routed[i]);
-      metrics_.gauge("msx_backend_ewma_nanos", label)->set(s.ewma_nanos[i]);
-      metrics_.gauge("msx_backend_shard_up", label)
-          ->set(is_down(i) ? 0.0 : 1.0);
-    }
     std::string out = obs::Registry::global().render() + metrics_.render();
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       if (is_down(i)) continue;
@@ -332,10 +309,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
   void mark_down(std::size_t shard) {
     check_arg(shard < endpoints_.size(), "ShardedBackend: shard out of range");
     MutexLock lock(&mu_);
-    if (!down_[shard]) {
-      down_[shard] = 1;
-      ++down_marks_;
-    }
+    mark_down_locked(shard);
   }
 
   void mark_up(std::size_t shard) {
@@ -359,33 +333,29 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     std::size_t rejoined = 0;
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       if (!is_down(i)) continue;
-      {
-        MutexLock lock(&mu_);
-        ++probes_;
-      }
+      probes_->inc();
       if (!service::probe_metrics(endpoints_[i]).has_value()) continue;
       mark_up(i);
       ++rejoined;
-      MutexLock lock(&mu_);
-      ++rejoins_;
+      rejoins_->inc();
     }
     return rejoined;
   }
 
   ShardedBackendStats stats() const {
-    MutexLock lock(&mu_);
     ShardedBackendStats out;
-    out.routed = routed_;
+    for (const obs::Counter* c : routed_) out.routed.push_back(c->value());
+    out.submitted = submitted_->value();
+    out.completed = completed_->value();
+    out.failover_resubmits = failover_resubmits_->value();
+    out.overload_reroutes = overload_reroutes_->value();
+    out.down_marks = down_marks_->value();
+    out.probes = probes_->value();
+    out.rejoins = rejoins_->value();
+    out.dist2d_products = dist2d_products_->value();
+    out.dist2d_panels = dist2d_panels_->value();
+    MutexLock lock(&mu_);
     out.ewma_nanos = ewma_nanos_;
-    out.submitted = submitted_;
-    out.completed = completed_;
-    out.failover_resubmits = failover_resubmits_;
-    out.overload_reroutes = overload_reroutes_;
-    out.down_marks = down_marks_;
-    out.probes = probes_;
-    out.rejoins = rejoins_;
-    out.dist2d_products = dist2d_products_;
-    out.dist2d_panels = dist2d_panels_;
     return out;
   }
 
@@ -714,10 +684,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       stream = nullptr;
     }
     if (stream == nullptr) {
-      if (!down_[shard]) {
-        down_[shard] = 1;
-        ++down_marks_;
-      }
+      mark_down_locked(shard);
       return false;
     }
     c.stream = std::shared_ptr<service::Stream>(std::move(stream));
@@ -886,9 +853,9 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
         }
         switch (resp.status) {
           case service::WireStatus::kOk: {
+            routed_[shard]->inc();
             {
               MutexLock lock(&mu_);
-              ++routed_[shard];
               service::record_ewma_locked(ewma_nanos_[shard],
                                           resp.exec_nanos);
             }
@@ -907,9 +874,9 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
           case service::WireStatus::kOverloaded: {
             // Back-pressure: spill this one request to the next shard; the
             // overloaded shard keeps its ring position and affinity.
+            overload_reroutes_->inc();
             {
               MutexLock lock(&mu_);
-              ++overload_reroutes_;
               req->excluded[shard] = 1;
               req->overloaded = true;
             }
@@ -967,10 +934,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       c.running = false;
       if (c.stream != nullptr) c.stream->shutdown();  // wake the peer thread
       c.stream.reset();
-      if (!down_[shard]) {
-        down_[shard] = 1;
-        ++down_marks_;
-      }
+      mark_down_locked(shard);
       orphans.reserve(c.inflight.size());
       for (auto& [rid, r] : c.inflight) orphans.push_back(r);
       // Queued submits are a subset of the in-flight map (inserted at
@@ -983,7 +947,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       was_stopping = stopping_;
       // Orphans failed at shutdown are not re-submissions — only count the
       // ones that actually go back out.
-      if (!was_stopping) failover_resubmits_ += orphans.size();
+      if (!was_stopping) failover_resubmits_->inc(orphans.size());
     }
     for (auto& r : orphans) {
       if (was_stopping) {
@@ -1000,16 +964,31 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     }
   }
 
+  // Counts a request in and holds drain() until it finishes.
+  void begin_request() {
+    submitted_->inc();
+    MutexLock lock(&mu_);
+    ++inflight_total_;
+  }
+
   // Delivers the outcome (outside any lock) and settles the drain gauge.
   // Parents and ordinary requests only — panel tasks go through settle().
+  // The completion is counted before inflight_total_ drops, so whoever
+  // drain() releases reads it.
   void finish(const RequestPtr& req, Result r) {
     req->done(std::move(r));
+    completed_->inc();
     {
       MutexLock lock(&mu_);
-      ++completed_;
       --inflight_total_;
     }
     drain_cv_.notify_all();
+  }
+
+  void mark_down_locked(std::size_t shard) MSX_REQUIRES(mu_) {
+    if (down_[shard]) return;
+    down_[shard] = 1;
+    down_marks_->inc();
   }
 
   // The one terminal-outcome entry point that works for both kinds of
@@ -1153,11 +1132,8 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     g->slots.resize(nr * nc);
     g->remaining.store(static_cast<int>(nr * nc),
                        std::memory_order_relaxed);
-    {
-      MutexLock lock(&mu_);
-      ++dist2d_products_;
-      dist2d_panels_ += nr * nc;
-    }
+    dist2d_products_->inc();
+    dist2d_panels_->inc(nr * nc);
     const std::uint64_t t_scatter = obs::now_ns();
     for (std::size_t r = 0; r < nr; ++r) {
       // One row slice of A per row panel, shared across its column panels.
@@ -1322,6 +1298,25 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
   std::vector<service::ShardEndpoint> endpoints_;
   ShardedBackendConfig cfg_;
   service::ConsistentHashRing ring_;
+  // Backend-level series (routing, failover, 2D) — the storage behind
+  // stats(). Per-instance, not the process-global registry, so two backends
+  // in one process don't collide. Declared before the handles resolved in
+  // it.
+  obs::Registry metrics_;
+  std::vector<obs::Counter*> routed_;  // kOk completions per shard
+  obs::Counter* submitted_ = metrics_.counter("msx_backend_submitted_total");
+  obs::Counter* completed_ = metrics_.counter("msx_backend_completed_total");
+  obs::Counter* failover_resubmits_ =
+      metrics_.counter("msx_backend_failover_resubmits_total");
+  obs::Counter* overload_reroutes_ =
+      metrics_.counter("msx_backend_overload_reroutes_total");
+  obs::Counter* down_marks_ = metrics_.counter("msx_backend_down_marks_total");
+  obs::Counter* probes_ = metrics_.counter("msx_backend_probes_total");
+  obs::Counter* rejoins_ = metrics_.counter("msx_backend_rejoins_total");
+  obs::Counter* dist2d_products_ =
+      metrics_.counter("msx_backend_dist2d_products_total");
+  obs::Counter* dist2d_panels_ =
+      metrics_.counter("msx_backend_dist2d_panels_total");
 
   mutable Mutex mu_{LockRank::kClientBackend, "ShardedBackend::mu_"};
   std::vector<char> down_ MSX_GUARDED_BY(mu_);
@@ -1332,24 +1327,11 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       MSX_GUARDED_BY(mu_);
   std::vector<Retired> retired_
       MSX_GUARDED_BY(mu_);  // prior conn threads awaiting join
-  std::vector<std::uint64_t> routed_ MSX_GUARDED_BY(mu_);
   std::vector<double> ewma_nanos_ MSX_GUARDED_BY(mu_);
-  std::uint64_t dist2d_products_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t dist2d_panels_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t submitted_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ MSX_GUARDED_BY(mu_) = 0;
   std::uint64_t inflight_total_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t failover_resubmits_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t overload_reroutes_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t down_marks_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t probes_ MSX_GUARDED_BY(mu_) = 0;
-  std::uint64_t rejoins_ MSX_GUARDED_BY(mu_) = 0;
   bool stopping_ MSX_GUARDED_BY(mu_) = false;
   CondVar drain_cv_;
   CondVar probe_cv_;
-  // Backend-level series (routing, failover, 2D). Per-instance, not the
-  // process-global registry, so two backends in one process don't collide.
-  obs::Registry metrics_;
   std::atomic<std::uint64_t> next_rid_{1};
   std::atomic<std::uint64_t> next_structure_{1};
   std::thread prober_;

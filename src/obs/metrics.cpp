@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/env.hpp"
 
@@ -88,25 +89,28 @@ double Histogram::quantile(double q) const {
 // --- Registry -------------------------------------------------------------
 
 Registry::Entry* Registry::find_or_create(const std::string& name,
-                                          const std::string& labels,
-                                          Kind kind) {
+                                          const std::string& labels, Kind kind,
+                                          std::function<double()> fn) {
   MutexLock lock(&mu_);
+  Entry* found = nullptr;
   for (const auto& e : entries_) {
     if (e->name == name && e->labels == labels && e->kind == kind) {
-      return e.get();
+      found = e.get();
+      break;
     }
   }
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->kind = kind;
-  switch (kind) {
-    case Kind::kCounter: e->c = std::make_unique<Counter>(); break;
-    case Kind::kGauge: e->g = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram: e->h = std::make_unique<Histogram>(); break;
+  if (found == nullptr) {
+    auto e = std::make_unique<Entry>();
+    e->name = name;
+    e->labels = labels;
+    e->kind = kind;
+    if (kind == Kind::kCounter) e->c = std::make_unique<Counter>();
+    if (kind == Kind::kHistogram) e->h = std::make_unique<Histogram>();
+    entries_.push_back(std::move(e));
+    found = entries_.back().get();
   }
-  entries_.push_back(std::move(e));
-  return entries_.back().get();
+  if (fn) found->fn = std::move(fn);
+  return found;
 }
 
 Counter* Registry::counter(const std::string& name,
@@ -114,8 +118,9 @@ Counter* Registry::counter(const std::string& name,
   return find_or_create(name, labels, Kind::kCounter)->c.get();
 }
 
-Gauge* Registry::gauge(const std::string& name, const std::string& labels) {
-  return find_or_create(name, labels, Kind::kGauge)->g.get();
+void Registry::gauge_fn(const std::string& name, const std::string& labels,
+                        std::function<double()> fn) {
+  find_or_create(name, labels, Kind::kGauge, std::move(fn));
 }
 
 Histogram* Registry::histogram(const std::string& name,
@@ -136,7 +141,16 @@ const Histogram* Registry::find_histogram(const std::string& name,
 }
 
 std::string Registry::render(const std::string& extra_labels) const {
-  MutexLock lock(&mu_);
+  // Snapshot under mu_, render after releasing it: gauge callbacks take
+  // their owners' mutexes, all ranked below kObsRegistry. An entry's
+  // identity and instruments never change once created; only callbacks are
+  // rebindable, so those are copied.
+  std::vector<std::pair<const Entry*, std::function<double()>>> items;
+  {
+    MutexLock lock(&mu_);
+    items.reserve(entries_.size());
+    for (const auto& e : entries_) items.emplace_back(e.get(), e->fn);
+  }
   std::string out;
   std::vector<std::string> typed;  // names with an emitted # TYPE line
   const auto emit_type = [&](const std::string& name, const char* type) {
@@ -146,7 +160,7 @@ std::string Registry::render(const std::string& extra_labels) const {
     typed.push_back(name);
     out += "# TYPE " + name + " " + type + "\n";
   };
-  for (const auto& e : entries_) {
+  for (const auto& [e, fn] : items) {
     const std::string labels = merge_labels(e->labels, extra_labels);
     switch (e->kind) {
       case Kind::kCounter:
@@ -155,7 +169,7 @@ std::string Registry::render(const std::string& extra_labels) const {
         break;
       case Kind::kGauge:
         emit_type(e->name, "gauge");
-        append_sample(out, e->name, labels, e->g->value());
+        append_sample(out, e->name, labels, fn());
         break;
       case Kind::kHistogram: {
         emit_type(e->name, "summary");

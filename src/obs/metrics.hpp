@@ -1,26 +1,29 @@
-// Unified metrics plane (ISSUE 9 tentpole): named counters, gauges and
-// log-bucket latency histograms behind one registry + snapshot API,
-// rendered as Prometheus text exposition. The registry subsumes the
-// ad-hoc stats structs (ServiceStats / BatchStats / PlanCacheStats stay
-// as typed views; their owners publish into a registry before rendering)
-// and is served over the wire by the kMetricsRequest op.
+// Unified metrics plane: named counters, render-time gauges and log-bucket
+// latency histograms behind one registry, rendered as Prometheus text and
+// served over the wire by the kMetricsRequest op.
 //
-// Concurrency: instrument handles (Counter*/Gauge*/Histogram*) are
-// resolved once under the registry mutex (LockRank::kObsRegistry, the
-// highest rank — safe to acquire while holding anything) and are then
-// plain atomics: add/set/observe are lock-free and safe from any thread.
-// Entries are never removed, so handles stay valid for the registry's
-// lifetime.
+// One counter store: registry counters are the only storage for counted
+// events. Owners resolve their Counter* handles once at construction and
+// only inc() them; the stats structs (BatchStats, PlanCacheStats,
+// ServiceStats, ShardedBackendStats, FeedbackStats) are read views over the
+// same counters. Live state an owner keeps under its own mutex reaches the
+// page through gauge_fn callbacks, so no page depends on a publish step.
 //
-// MSX_METRICS=0 turns histogram observation into a no-op (counters and
-// gauges are single relaxed atomics and stay on — they back the stats
-// structs that existed before this subsystem).
+// Concurrency: handles are resolved under the registry mutex
+// (LockRank::kObsRegistry, the highest rank) and are then plain atomics,
+// lock-free from any thread; entries are never removed, so handles live as
+// long as the registry. render() calls gauge callbacks after releasing the
+// registry mutex, because they take their owners' lower-ranked locks.
+//
+// MSX_METRICS=0 turns histogram observation into a no-op and nothing else:
+// counters stay on, because the stats views read them.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,25 +37,16 @@ void set_metrics_enabled(bool on);
 
 // --- instruments ----------------------------------------------------------
 
+// Monotonic event count. Relaxed: a reader that needs a count to include
+// some event orders itself after it by other means (a joined thread, a
+// mutex the incrementing thread released afterwards).
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  // Snapshot-style publish: counters mirrored from an existing stats struct
-  // are set to the struct's value rather than incremented.
-  void set(std::uint64_t n) { v_.store(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 // Log2-bucket latency histogram. observe_ns(v) lands in bucket
@@ -103,7 +97,11 @@ class Histogram {
 class Registry {
  public:
   Counter* counter(const std::string& name, const std::string& labels = "");
-  Gauge* gauge(const std::string& name, const std::string& labels = "");
+  // A gauge evaluated at render time from live state (`fn` typically locks
+  // its owner's mutex). Re-registering a series replaces its callback; the
+  // callback's owner must outlive every render.
+  void gauge_fn(const std::string& name, const std::string& labels,
+                std::function<double()> fn);
   Histogram* histogram(const std::string& name,
                        const std::string& labels = "");
 
@@ -131,12 +129,13 @@ class Registry {
     std::string labels;
     Kind kind;
     std::unique_ptr<Counter> c;
-    std::unique_ptr<Gauge> g;
     std::unique_ptr<Histogram> h;
+    std::function<double()> fn;  // kGauge; guarded by the registry's mu_
   };
 
+  // Interns the series; a non-empty `fn` (re)binds a gauge's callback.
   Entry* find_or_create(const std::string& name, const std::string& labels,
-                        Kind kind);
+                        Kind kind, std::function<double()> fn = {});
 
   mutable Mutex mu_{LockRank::kObsRegistry, "obs::Registry::mu_"};
   // Insertion-ordered so rendered output is stable; linear lookup is fine

@@ -133,6 +133,8 @@ struct BatchLimits {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
+// Read view over the msx_executor_* counters, the admission state and the
+// plan cache's view.
 struct BatchStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -156,8 +158,15 @@ class BatchExecutor {
   explicit BatchExecutor(const BatchLimits& limits = {})
       : limits_(limits),
         pool_(limits.pool_threads),
-        cache_(limits.plan_cache_capacity, limits.plan_cache_bytes),
-        wide_thread_([this] { wide_loop(); }) {}
+        cache_(metrics_, limits.plan_cache_capacity, limits.plan_cache_bytes),
+        wide_thread_([this] { wide_loop(); }) {
+    metrics_.gauge_fn("msx_executor_pending_jobs", "", [this] {
+      return static_cast<double>(stats().pending_jobs);
+    });
+    metrics_.gauge_fn("msx_executor_pending_bytes", "", [this] {
+      return static_cast<double>(stats().pending_bytes);
+    });
+  }
 
   // Drains every submitted job, then shuts the lanes down.
   ~BatchExecutor() {
@@ -285,16 +294,9 @@ class BatchExecutor {
         });
     auto future = task->get_future();
 
-    {
-      MutexLock lock(&mu_);
-      ++stats_.submitted;
-      if (shape == JobShape::kSmall) {
-        ++stats_.small_jobs;
-      } else {
-        ++stats_.wide_jobs;
-      }
-      if (job.priority == Priority::kInteractive) ++stats_.interactive_jobs;
-    }
+    submitted_->inc();
+    (shape == JobShape::kSmall ? small_jobs_ : wide_jobs_)->inc();
+    if (job.priority == Priority::kInteractive) interactive_jobs_->inc();
     const Priority priority = job.priority;
     auto wrapped = [this, task, job_bytes,
                     on_complete = std::move(job.on_complete)] {
@@ -317,63 +319,36 @@ class BatchExecutor {
     return future;
   }
 
-  // Blocks until every job submitted so far has completed. Note that a
-  // job's future becomes ready slightly before the executor's bookkeeping
-  // settles — read stats() after wait_idle() when exact completion counts
-  // matter.
+  // Blocks until every job submitted so far has completed. A job's future
+  // becomes ready slightly before job_done() counts it — read stats() after
+  // wait_idle() when exact completion counts matter.
   void wait_idle() {
     MutexLock lock(&mu_);
     while (outstanding_ != 0) idle_cv_.wait(mu_);
   }
 
   BatchStats stats() const {
-    // One coherent snapshot: the cache counters are read while mu_ is still
-    // held (kExecutor -> kPlanCache is the legal acquisition order), so the
-    // pending_jobs/pending_bytes gauges can never disagree with the counter
-    // fields the way the old read-cache-outside-the-lock snapshot could.
-    MutexLock lock(&mu_);
-    BatchStats out = stats_;
-    out.pending_jobs = outstanding_;
-    out.pending_bytes = pending_bytes_;
+    BatchStats out;
+    out.submitted = submitted_->value();
+    out.completed = completed_->value();
+    out.small_jobs = small_jobs_->value();
+    out.wide_jobs = wide_jobs_->value();
+    out.interactive_jobs = interactive_jobs_->value();
+    out.rejected = rejected_->value();
+    out.admission_blocks = admission_blocks_->value();
+    {
+      MutexLock lock(&mu_);
+      out.pending_jobs = outstanding_;
+      out.pending_bytes = pending_bytes_;
+    }
     out.cache = cache_.stats();
     return out;
   }
 
-  // The executor's metrics registry: live queue/run/total latency
-  // histograms plus the BatchStats mirror that publish_metrics() refreshes.
-  // Render with a `shard="..."` extra label to scope an in-process fleet.
+  // The storage behind stats(): latency histograms, executor and plan-cache
+  // counters, render-time gauges. Render with a `shard="..."` extra label to
+  // scope an in-process fleet.
   obs::Registry& metrics() { return metrics_; }
-
-  // Publishes the current BatchStats snapshot into the registry — the
-  // typed struct stays the programmatic view; the registry is the export
-  // plane. Call before rendering.
-  void publish_metrics() {
-    const BatchStats s = stats();
-    metrics_.counter("msx_executor_jobs_submitted_total")->set(s.submitted);
-    metrics_.counter("msx_executor_jobs_completed_total")->set(s.completed);
-    metrics_.counter("msx_executor_jobs_small_total")->set(s.small_jobs);
-    metrics_.counter("msx_executor_jobs_wide_total")->set(s.wide_jobs);
-    metrics_.counter("msx_executor_jobs_interactive_total")
-        ->set(s.interactive_jobs);
-    metrics_.counter("msx_executor_rejected_total")->set(s.rejected);
-    metrics_.counter("msx_executor_admission_blocks_total")
-        ->set(s.admission_blocks);
-    metrics_.gauge("msx_executor_pending_jobs")
-        ->set(static_cast<double>(s.pending_jobs));
-    metrics_.gauge("msx_executor_pending_bytes")
-        ->set(static_cast<double>(s.pending_bytes));
-    metrics_.counter("msx_plan_cache_hits_total")->set(s.cache.hits);
-    metrics_.counter("msx_plan_cache_misses_total")->set(s.cache.misses);
-    metrics_.counter("msx_plan_cache_grows_total")->set(s.cache.grows);
-    metrics_.counter("msx_plan_cache_evictions_total")->set(s.cache.evictions);
-    metrics_.counter("msx_plan_cache_delta_migrations_total")
-        ->set(s.cache.delta_migrations);
-    metrics_.gauge("msx_plan_cache_instances")
-        ->set(static_cast<double>(s.cache.instances));
-    metrics_.gauge("msx_plan_cache_bytes_held")
-        ->set(static_cast<double>(s.cache.bytes_held));
-    metrics_.gauge("msx_plan_cache_hit_rate")->set(s.cache.hit_rate());
-  }
 
   int pool_threads() const { return pool_.size(); }
   ThreadPool& pool() { return pool_; }
@@ -417,10 +392,10 @@ class BatchExecutor {
     MutexLock lock(&mu_);
     if (over_limits_locked(job_bytes)) {
       if (limits_.admission == AdmissionPolicy::kReject) {
-        ++stats_.rejected;
+        rejected_->inc();
         throw BatchRejected();
       }
-      ++stats_.admission_blocks;
+      admission_blocks_->inc();
       while (over_limits_locked(job_bytes)) admit_cv_.wait(mu_);
     }
     ++outstanding_;
@@ -440,9 +415,11 @@ class BatchExecutor {
     return false;
   }
 
+  // Counts the completion before dropping outstanding_, so whoever
+  // wait_idle() releases reads it.
   void job_done(std::size_t job_bytes) {
+    completed_->inc();
     MutexLock lock(&mu_);
-    ++stats_.completed;
     pending_bytes_ -= job_bytes;
     if (--outstanding_ == 0) idle_cv_.notify_all();
     admit_cv_.notify_all();
@@ -472,16 +449,26 @@ class BatchExecutor {
   }
 
   BatchLimits limits_;
-  ThreadPool pool_;
-  Cache cache_;
-
-  // Registry before the handles: default member initializers run in
-  // declaration order. Handles are plain atomics — observed lock-free from
-  // every worker.
+  // Registry before the handles and the cache that resolve instruments in
+  // it: members initialize in declaration order. Handles are plain atomics,
+  // bumped lock-free from every worker.
   obs::Registry metrics_;
   obs::Histogram* h_queue_ = metrics_.histogram("msx_executor_queue_seconds");
   obs::Histogram* h_run_ = metrics_.histogram("msx_executor_run_seconds");
   obs::Histogram* h_job_ = metrics_.histogram("msx_job_seconds");
+  obs::Counter* submitted_ =
+      metrics_.counter("msx_executor_jobs_submitted_total");
+  obs::Counter* completed_ =
+      metrics_.counter("msx_executor_jobs_completed_total");
+  obs::Counter* small_jobs_ = metrics_.counter("msx_executor_jobs_small_total");
+  obs::Counter* wide_jobs_ = metrics_.counter("msx_executor_jobs_wide_total");
+  obs::Counter* interactive_jobs_ =
+      metrics_.counter("msx_executor_jobs_interactive_total");
+  obs::Counter* rejected_ = metrics_.counter("msx_executor_rejected_total");
+  obs::Counter* admission_blocks_ =
+      metrics_.counter("msx_executor_admission_blocks_total");
+  ThreadPool pool_;
+  Cache cache_;
 
   mutable Mutex mu_{LockRank::kExecutor, "BatchExecutor::mu_"};
   CondVar idle_cv_;
@@ -493,7 +480,6 @@ class BatchExecutor {
   bool wide_stop_ MSX_GUARDED_BY(mu_) = false;
   std::uint64_t outstanding_ MSX_GUARDED_BY(mu_) = 0;
   std::size_t pending_bytes_ MSX_GUARDED_BY(mu_) = 0;
-  BatchStats stats_ MSX_GUARDED_BY(mu_);
 
   std::thread wide_thread_;
 };

@@ -36,6 +36,7 @@
 #include "core/options.hpp"
 #include "core/plan.hpp"
 #include "matrix/csr.hpp"
+#include "obs/metrics.hpp"
 #include "semiring/semirings.hpp"
 
 namespace msx {
@@ -61,6 +62,7 @@ std::uint64_t plan_hash_bytes(std::uint64_t seed, const void* data,
 std::uint64_t plan_hash_parts(std::uint64_t seed,
                               std::span<const std::span<const std::uint8_t>> parts);
 
+// Read view over the msx_plan_cache_* counters and the eviction state.
 struct PlanCacheStats {
   std::uint64_t hits = 0;        // idle instance reused
   std::uint64_t misses = 0;      // unknown structure, plan built
@@ -205,11 +207,28 @@ class PlanCache {
   // hold (operand copies + CSC + symbolic/partition caches) — the LRU walk
   // then evicts cold entries until back under BOTH limits, which is what
   // keeps a cache of a few wide matrices from dwarfing a cache of many small
-  // ones (ROADMAP: plan-cache memory budget).
-  explicit PlanCache(std::size_t capacity = 64, std::size_t byte_budget = 0)
+  // ones (ROADMAP: plan-cache memory budget). The msx_plan_cache_* series
+  // live in `metrics`, which must outlive the cache.
+  explicit PlanCache(obs::Registry& metrics, std::size_t capacity = 64,
+                     std::size_t byte_budget = 0)
       : capacity_(capacity == 0 ? 1 : capacity),
         index_(capacity_),
-        byte_budget_(byte_budget) {}
+        byte_budget_(byte_budget),
+        hits_(metrics.counter("msx_plan_cache_hits_total")),
+        misses_(metrics.counter("msx_plan_cache_misses_total")),
+        grows_(metrics.counter("msx_plan_cache_grows_total")),
+        evictions_(metrics.counter("msx_plan_cache_evictions_total")),
+        delta_migrations_(
+            metrics.counter("msx_plan_cache_delta_migrations_total")) {
+    metrics.gauge_fn("msx_plan_cache_instances", "", [this] {
+      return static_cast<double>(stats().instances);
+    });
+    metrics.gauge_fn("msx_plan_cache_bytes_held", "", [this] {
+      return static_cast<double>(stats().bytes_held);
+    });
+    metrics.gauge_fn("msx_plan_cache_hit_rate", "",
+                     [this] { return stats().hit_rate(); });
+  }
 
   // One cached plan plus its lease flag. shared_ptr-managed so an entry can
   // be evicted while an instance is still leased out — the lease keeps the
@@ -264,8 +283,8 @@ class PlanCache {
         const std::size_t bytes = rec_->plan->resident_bytes();
         MutexLock lock(&cache_->mu_);
         if (rec_->owned) {
-          cache_->stats_.bytes_held += bytes;
-          cache_->stats_.bytes_held -= rec_->bytes;
+          cache_->bytes_held_ += bytes;
+          cache_->bytes_held_ -= rec_->bytes;
           rec_->bytes = bytes;
         }
         rec_->busy = false;
@@ -297,13 +316,13 @@ class PlanCache {
         for (auto& rec : slots_[static_cast<std::size_t>(slot)].instances) {
           if (!rec->busy) {
             rec->busy = true;
-            ++stats_.hits;
+            hits_->inc();
             return Lease(this, rec, /*reused=*/true);
           }
         }
-        ++stats_.grows;
+        grows_->inc();
       } else {
-        ++stats_.misses;
+        misses_->inc();
       }
     }
 
@@ -325,27 +344,23 @@ class PlanCache {
     std::vector<std::shared_ptr<Instance>> evicted;
     {
       MutexLock lock(&mu_);
-      std::int64_t slot = index_.find(key);
-      if (slot < 0) {
-        slot = index_.insert(key);
-        if (static_cast<std::size_t>(slot) >= slots_.size()) {
-          slots_.resize(static_cast<std::size_t>(slot) + 1);
-        }
-        slots_[static_cast<std::size_t>(slot)].instances.clear();
-      }
-      rec->owned = true;
-      slots_[static_cast<std::size_t>(slot)].instances.push_back(rec);
-      ++stats_.instances;
-      stats_.bytes_held += rec->bytes;
-      evict_locked(evicted);
+      adopt_locked(key, rec, evicted);
     }
     // Evicted plans are destroyed here, outside the lock.
     return Lease(this, std::move(rec), /*reused=*/false);
   }
 
   PlanCacheStats stats() const {
+    PlanCacheStats out;
+    out.hits = hits_->value();
+    out.misses = misses_->value();
+    out.grows = grows_->value();
+    out.evictions = evictions_->value();
+    out.delta_migrations = delta_migrations_->value();
     MutexLock lock(&mu_);
-    return stats_;
+    out.instances = instances_;
+    out.bytes_held = bytes_held_;
+    return out;
   }
 
   std::size_t capacity() const { return capacity_; }
@@ -414,8 +429,8 @@ class PlanCache {
           if (!(*it)->busy) {
             rec = std::move(*it);
             insts.erase(it);
-            --stats_.instances;
-            stats_.bytes_held -= rec->bytes;
+            --instances_;
+            bytes_held_ -= rec->bytes;
             rec->owned = false;
             break;
           }
@@ -437,30 +452,38 @@ class PlanCache {
     std::vector<std::shared_ptr<Instance>> evicted;
     {
       MutexLock lock(&mu_);
-      std::int64_t slot = index_.find(key);
-      if (slot < 0) {
-        slot = index_.insert(key);
-        if (static_cast<std::size_t>(slot) >= slots_.size()) {
-          slots_.resize(static_cast<std::size_t>(slot) + 1);
-        }
-        slots_[static_cast<std::size_t>(slot)].instances.clear();
-      }
-      rec->owned = true;
-      slots_[static_cast<std::size_t>(slot)].instances.push_back(rec);
-      ++stats_.instances;
-      stats_.bytes_held += rec->bytes;
-      ++stats_.delta_migrations;
-      evict_locked(evicted);
+      adopt_locked(key, rec, evicted);
     }
+    delta_migrations_->inc();
     // reused=true: the migrated plan's owned values predate this request —
     // the caller refreshes numerics via execute_values as on any warm hit.
     return Lease(this, std::move(rec), /*reused=*/true);
   }
 
+  // Files a built or migrated (leased) instance under `key`, then evicts
+  // back under the limits.
+  void adopt_locked(const PlanKey& key, const std::shared_ptr<Instance>& rec,
+                    std::vector<std::shared_ptr<Instance>>& evicted)
+      MSX_REQUIRES(mu_) {
+    std::int64_t slot = index_.find(key);
+    if (slot < 0) {
+      slot = index_.insert(key);
+      if (static_cast<std::size_t>(slot) >= slots_.size()) {
+        slots_.resize(static_cast<std::size_t>(slot) + 1);
+      }
+      slots_[static_cast<std::size_t>(slot)].instances.clear();
+    }
+    rec->owned = true;
+    slots_[static_cast<std::size_t>(slot)].instances.push_back(rec);
+    ++instances_;
+    bytes_held_ += rec->bytes;
+    evict_locked(evicted);
+  }
+
   // True while either limit (entry count, byte budget) is exceeded.
   bool over_limits_locked() const MSX_REQUIRES(mu_) {
     if (index_.size() > capacity_) return true;
-    return byte_budget_ > 0 && stats_.bytes_held > byte_budget_;
+    return byte_budget_ > 0 && bytes_held_ > byte_budget_;
   }
 
   // Walks slots LRU-first while over the entry-count capacity
@@ -472,37 +495,28 @@ class PlanCache {
     if (!over_limits_locked()) return;
     for (std::int64_t cand : index_.slots_lru()) {
       if (!over_limits_locked()) break;
-      auto& slot = slots_[static_cast<std::size_t>(cand)];
-      bool busy = false;
-      for (const auto& rec : slot.instances) busy = busy || rec->busy;
-      if (busy) continue;
-      stats_.instances -= slot.instances.size();
-      ++stats_.evictions;
-      for (auto& rec : slot.instances) {
-        stats_.bytes_held -= rec->bytes;
-        rec->owned = false;
-        evicted.push_back(std::move(rec));
-      }
-      slot.instances.clear();
-      index_.erase_slot(cand);
+      if (try_drop_slot(cand, evicted)) evictions_->inc();
     }
   }
 
-  void try_drop_slot(std::int64_t cand,
+  // Drops the entry unless one of its instances is leased out; true when
+  // dropped.
+  bool try_drop_slot(std::int64_t cand,
                      std::vector<std::shared_ptr<Instance>>& dropped)
       MSX_REQUIRES(mu_) {
     auto& slot = slots_[static_cast<std::size_t>(cand)];
     bool busy = false;
     for (const auto& rec : slot.instances) busy = busy || rec->busy;
-    if (busy) return;
-    stats_.instances -= slot.instances.size();
+    if (busy) return false;
+    instances_ -= slot.instances.size();
     for (auto& rec : slot.instances) {
-      stats_.bytes_held -= rec->bytes;
+      bytes_held_ -= rec->bytes;
       rec->owned = false;
       dropped.push_back(std::move(rec));
     }
     slot.instances.clear();
     index_.erase_slot(cand);
+    return true;
   }
 
   const std::size_t capacity_;  // mirrors index_.capacity(); lock-free reads
@@ -510,7 +524,14 @@ class PlanCache {
   detail::PlanCacheIndex index_ MSX_GUARDED_BY(mu_);
   std::size_t byte_budget_ = 0;  // immutable after construction
   std::vector<Slot> slots_ MSX_GUARDED_BY(mu_);
-  PlanCacheStats stats_ MSX_GUARDED_BY(mu_);
+  // Eviction state: plans owned and the resident bytes they hold.
+  std::uint64_t instances_ MSX_GUARDED_BY(mu_) = 0;
+  std::uint64_t bytes_held_ MSX_GUARDED_BY(mu_) = 0;
+  obs::Counter* const hits_;
+  obs::Counter* const misses_;
+  obs::Counter* const grows_;
+  obs::Counter* const evictions_;
+  obs::Counter* const delta_migrations_;
 };
 
 }  // namespace msx

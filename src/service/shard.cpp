@@ -77,16 +77,4 @@ void ConnectionSet::close() {
 }
 
 }  // namespace detail
-
-void fold_executor_stats(const BatchStats& exec_stats, ServiceStats& out) {
-  out.jobs_submitted = exec_stats.submitted;
-  out.jobs_completed = exec_stats.completed;
-  out.cache_hits = exec_stats.cache.hits;
-  out.cache_misses = exec_stats.cache.misses;
-  out.cache_grows = exec_stats.cache.grows;
-  out.cache_evictions = exec_stats.cache.evictions;
-  out.cache_instances = exec_stats.cache.instances;
-  out.cache_bytes = exec_stats.cache.bytes_held;
-}
-
 }  // namespace msx::service

@@ -90,9 +90,8 @@ class ConnectionSet {
 
 }  // namespace detail
 
-// A shard's counters, read in process through ServiceShard::stats() (the
-// same numbers reach remote readers as msx_shard_* series in the metrics
-// page).
+// Read view over a shard's msx_shard_* counters with its executor's job and
+// plan-cache counts folded in; remote readers see the same series.
 struct ServiceStats {
   std::uint64_t requests = 0;    // product requests received
   std::uint64_t registrations = 0;  // structures installed (session protocol)
@@ -121,9 +120,6 @@ struct ServiceStats {
   }
 };
 
-// Folds executor counters into the wire-level ones (shard.cpp).
-void fold_executor_stats(const BatchStats& exec_stats, ServiceStats& out);
-
 template <class SR, class IT, class VT>
 class ServiceShard {
  public:
@@ -132,7 +128,10 @@ class ServiceShard {
   using output_matrix = typename Executor::output_matrix;
 
   explicit ServiceShard(ShardConfig cfg = {})
-      : cfg_(std::move(cfg)), exec_(cfg_.limits) {}
+      : cfg_(std::move(cfg)), exec_(cfg_.limits) {
+    exec_.metrics().gauge_fn("msx_shard_warm_hit_rate", "",
+                             [this] { return stats().warm_hit_rate(); });
+  }
 
   // Stops accepting, closes every connection, joins the serving threads and
   // drains the executor.
@@ -174,7 +173,7 @@ class ServiceShard {
     std::vector<std::uint8_t> payload;
     try {
       while (recv_frame(s, header, payload)) {
-        count_in(payload.size());
+        bytes_in_->inc(payload.size());
         Pending p;
         p.rid = header.request_id;
         switch (header.type) {
@@ -238,14 +237,28 @@ class ServiceShard {
     conns_.close();
   }
 
-  // Wire counters merged with the executor's (cache hit/miss, job counts).
+  // The wire counters with the executor's job and plan-cache counters
+  // folded in.
   ServiceStats stats() const {
     ServiceStats out;
-    {
-      MutexLock lock(&stats_mu_);
-      out = wire_stats_;
-    }
-    fold_executor_stats(exec_.stats(), out);
+    out.requests = requests_->value();
+    out.registrations = registrations_->value();
+    out.updates = updates_->value();
+    out.stale = stale_->value();
+    out.responses = responses_->value();
+    out.errors = errors_->value();
+    out.overloaded = overloaded_->value();
+    out.bytes_in = bytes_in_->value();
+    out.bytes_out = bytes_out_->value();
+    const BatchStats e = exec_.stats();
+    out.jobs_submitted = e.submitted;
+    out.jobs_completed = e.completed;
+    out.cache_hits = e.cache.hits;
+    out.cache_misses = e.cache.misses;
+    out.cache_grows = e.cache.grows;
+    out.cache_evictions = e.cache.evictions;
+    out.cache_instances = e.cache.instances;
+    out.cache_bytes = e.cache.bytes_held;
     return out;
   }
 
@@ -253,25 +266,12 @@ class ServiceShard {
   const ShardConfig& config() const { return cfg_; }
 
   // The shard's metrics plane as Prometheus text: the executor's registry
-  // (live latency histograms + BatchStats/PlanCacheStats mirrors) plus the
-  // wire counters, every sample labelled shard="<name>" so an in-process
-  // fleet scrapes without collisions. Served over the wire by
-  // kMetricsRequest; also directly callable for co-located deployments.
+  // (latency histograms, executor/plan-cache/shard counters, live gauges),
+  // every sample labelled shard="<name>" so an in-process fleet scrapes
+  // without collisions. Served over the wire by kMetricsRequest; also
+  // directly callable for co-located deployments.
   std::string metrics_text() {
-    const ServiceStats s = stats();
-    obs::Registry& reg = exec_.metrics();
-    reg.counter("msx_shard_requests_total")->set(s.requests);
-    reg.counter("msx_shard_responses_total")->set(s.responses);
-    reg.counter("msx_shard_errors_total")->set(s.errors);
-    reg.counter("msx_shard_overloaded_total")->set(s.overloaded);
-    reg.counter("msx_shard_stale_total")->set(s.stale);
-    reg.counter("msx_shard_registrations_total")->set(s.registrations);
-    reg.counter("msx_shard_updates_total")->set(s.updates);
-    reg.counter("msx_shard_bytes_in_total")->set(s.bytes_in);
-    reg.counter("msx_shard_bytes_out_total")->set(s.bytes_out);
-    reg.gauge("msx_shard_warm_hit_rate")->set(s.warm_hit_rate());
-    exec_.publish_metrics();
-    return reg.render("shard=\"" + cfg_.name + "\"");
+    return exec_.metrics().render("shard=\"" + cfg_.name + "\"");
   }
 
  private:
@@ -382,8 +382,7 @@ class ServiceShard {
     }
     rec.version = reg.version;
     registry[reg.structure_id] = std::move(rec);
-    MutexLock lock(&stats_mu_);
-    ++wire_stats_.registrations;
+    registrations_->inc();
   }
 
   // Applies a structure update: the delta is materialized server-side (the
@@ -422,8 +421,7 @@ class ServiceShard {
     reg.version = upd.new_version;
     reg.lineage = std::move(lineage);
     reg.mask_slices.clear();  // windows of the superseded mask
-    MutexLock lock(&stats_mu_);
-    ++wire_stats_.updates;
+    updates_->inc();
   }
 
   // Decodes and submits one session product: operands resolve against the
@@ -432,10 +430,7 @@ class ServiceShard {
   void handle_submit(std::span<const std::uint8_t> payload,
                      std::unordered_map<std::uint64_t, Registered>& registry,
                      Pending& p) {
-    {
-      MutexLock lock(&stats_mu_);
-      ++wire_stats_.requests;
-    }
+    requests_->inc();
     try {
       auto sub = decode_submit<IT, VT>(payload);
       const auto it = registry.find(sub.structure_id);
@@ -564,10 +559,11 @@ class ServiceShard {
           encode_response_parts(g, *result, nanos,
                                 t != nullptr ? t->queue_ns : 0,
                                 t != nullptr ? t->run_ns : 0);
-          count_out_ok(p.type, g.total_bytes());
+          count_out(p.type, WireStatus::kOk, g.total_bytes());
           send_frame_parts(s, p.type, p.rid, g);
         } else {
-          count_out(p.type, payload);
+          count_out(p.type, response_status(p.type, payload),
+                    payload.size());
           send_frame(s, p.type, p.rid, payload);
         }
       } catch (const TransportError&) {
@@ -577,38 +573,29 @@ class ServiceShard {
     }
   }
 
-  void count_in(std::size_t payload_bytes) {
-    MutexLock lock(&stats_mu_);
-    wire_stats_.bytes_in += payload_bytes;
-  }
-
-  // Accounting for a kOk result sent via the gather path (no contiguous
-  // payload to sniff the status from).
-  void count_out_ok(MessageType type, std::size_t payload_bytes) {
-    MutexLock lock(&stats_mu_);
-    wire_stats_.bytes_out += payload_bytes;
-    if (type == MessageType::kResponse) ++wire_stats_.responses;
-  }
-
-  void count_out(MessageType type, std::span<const std::uint8_t> payload) {
-    WireStatus status = WireStatus::kOk;
-    if (type == MessageType::kResponse && payload.size() >= 4) {
-      std::uint32_t raw;
-      std::memcpy(&raw, payload.data(), 4);
-      status = static_cast<WireStatus>(raw);
+  // The status word that leads a pre-encoded kResponse payload.
+  static WireStatus response_status(MessageType type,
+                                    std::span<const std::uint8_t> payload) {
+    if (type != MessageType::kResponse || payload.size() < 4) {
+      return WireStatus::kOk;
     }
-    MutexLock lock(&stats_mu_);
-    wire_stats_.bytes_out += payload.size();
-    if (type == MessageType::kResponse) {
-      ++wire_stats_.responses;
-      if (status == WireStatus::kOverloaded) {
-        ++wire_stats_.overloaded;
-      } else if (status == WireStatus::kStaleStructure) {
-        // Expected under churn (update raced a submit), not a server fault.
-        ++wire_stats_.stale;
-      } else if (status != WireStatus::kOk) {
-        ++wire_stats_.errors;
-      }
+    std::uint32_t raw;
+    std::memcpy(&raw, payload.data(), 4);
+    return static_cast<WireStatus>(raw);
+  }
+
+  void count_out(MessageType type, WireStatus status,
+                 std::size_t payload_bytes) {
+    bytes_out_->inc(payload_bytes);
+    if (type != MessageType::kResponse) return;
+    responses_->inc();
+    if (status == WireStatus::kOverloaded) {
+      overloaded_->inc();
+    } else if (status == WireStatus::kStaleStructure) {
+      // Expected under churn (update raced a submit), not a server fault.
+      stale_->inc();
+    } else if (status != WireStatus::kOk) {
+      errors_->inc();
     }
   }
 
@@ -617,12 +604,24 @@ class ServiceShard {
   // Receipt-to-result latency per product request served by this shard.
   obs::Histogram* h_request_ =
       exec_.metrics().histogram("msx_shard_request_seconds");
+  // The wire counters, on the executor's registry.
+  obs::Counter* requests_ = exec_.metrics().counter("msx_shard_requests_total");
+  obs::Counter* responses_ =
+      exec_.metrics().counter("msx_shard_responses_total");
+  obs::Counter* errors_ = exec_.metrics().counter("msx_shard_errors_total");
+  obs::Counter* overloaded_ =
+      exec_.metrics().counter("msx_shard_overloaded_total");
+  obs::Counter* stale_ = exec_.metrics().counter("msx_shard_stale_total");
+  obs::Counter* registrations_ =
+      exec_.metrics().counter("msx_shard_registrations_total");
+  obs::Counter* updates_ = exec_.metrics().counter("msx_shard_updates_total");
+  obs::Counter* bytes_in_ = exec_.metrics().counter("msx_shard_bytes_in_total");
+  obs::Counter* bytes_out_ =
+      exec_.metrics().counter("msx_shard_bytes_out_total");
   detail::ConnectionSet conns_;
   Mutex listeners_mu_{LockRank::kShard, "ServiceShard::listeners_mu_"};
   std::vector<std::unique_ptr<Listener>> listeners_
       MSX_GUARDED_BY(listeners_mu_);
-  mutable Mutex stats_mu_{LockRank::kShard, "ServiceShard::stats_mu_"};
-  ServiceStats wire_stats_ MSX_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace msx::service

@@ -1,17 +1,20 @@
 // FeedbackStore unit tests: record/remode round trips, the hysteresis
-// margin, digest independence, the planner accounting hook, and a
-// multi-threaded hammer for the TSan job (the store is the one piece of
-// adaptive state shared across concurrent plans).
+// margin, digest independence, the planner accounting hook, counts living
+// in the store's own registry, and a multi-threaded hammer for the TSan job
+// (the store is the one piece of adaptive state shared across concurrent
+// plans).
 #include "adaptive/feedback.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "adaptive/planner.hpp"
 #include "core/partition.hpp"
+#include "obs/metrics.hpp"
 
 namespace msx {
 namespace {
@@ -42,7 +45,8 @@ BlockTimings make_timings(const RowPartition& part,
 }
 
 TEST(FeedbackStore, RemodeSwitchesToObservedFasterMode) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   const std::uint64_t digest = 0xABCDull;
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse),
                               static_cast<std::uint8_t>(BlockMode::kSparse)});
@@ -71,7 +75,8 @@ TEST(FeedbackStore, RemodeSwitchesToObservedFasterMode) {
 }
 
 TEST(FeedbackStore, HysteresisBlocksMarginalSwitches) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   const std::uint64_t digest = 0x1234ull;
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse)});
 
@@ -93,7 +98,8 @@ TEST(FeedbackStore, HysteresisBlocksMarginalSwitches) {
 }
 
 TEST(FeedbackStore, DigestsAreIndependent) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse)});
   store.record(0x1ull, part, make_timings(part, {500'000}));
   // Nothing recorded under 0x2: no hit, no change.
@@ -102,7 +108,8 @@ TEST(FeedbackStore, DigestsAreIndependent) {
 }
 
 TEST(FeedbackStore, ReshapedPartitionIsIgnored) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   const std::uint64_t digest = 0x77ull;
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse),
                               static_cast<std::uint8_t>(BlockMode::kSparse)});
@@ -113,7 +120,8 @@ TEST(FeedbackStore, ReshapedPartitionIsIgnored) {
 }
 
 TEST(FeedbackStore, CoefficientScalesUnobservedModes) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   const std::uint64_t digest = 0x99ull;
   // Block predicted: sparse 1000 units, dense 10 units (block_mode_cost set
   // by hand below). Observed: sparse ran at 1000 ns -> coeff 1.0, so dense
@@ -128,7 +136,8 @@ TEST(FeedbackStore, CoefficientScalesUnobservedModes) {
 }
 
 TEST(FeedbackStore, NotePlannedTallies) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse),
                               static_cast<std::uint8_t>(BlockMode::kDense),
                               static_cast<std::uint8_t>(BlockMode::kDense)});
@@ -140,18 +149,45 @@ TEST(FeedbackStore, NotePlannedTallies) {
   EXPECT_EQ(st.mode_blocks[static_cast<int>(BlockMode::kDense)], 2u);
 }
 
-TEST(FeedbackStore, ClearDropsEverything) {
-  FeedbackStore store;
+TEST(FeedbackStore, ClearDropsObservationsButKeepsCounts) {
+  obs::Registry reg;
+  FeedbackStore store(reg);
   auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse)});
   store.record(0x5ull, part, make_timings(part, {1000}));
   EXPECT_EQ(store.stats().entries, 1u);
   store.clear();
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.remode(0x5ull, part), 0);
+  // The view and the page read the same counters, before and after clear().
+  const auto st = store.stats();
+  EXPECT_EQ(st.records, 1u);
+  EXPECT_EQ(st.blocks_recorded, 1u);
+  const std::string page = reg.render();
+  EXPECT_NE(page.find("msx_adaptive_feedback_records_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(page.find("msx_adaptive_feedback_blocks_total 1\n"),
+            std::string::npos);
+}
+
+// A store built on a private registry counts only there: tests and benches
+// that construct their own store leave the process-wide series untouched.
+TEST(FeedbackStore, PrivateRegistryLeavesGlobalSeriesUnchanged) {
+  const obs::Counter* global_records = obs::Registry::global().counter(
+      "msx_adaptive_feedback_records_total");
+  const std::uint64_t before = global_records->value();
+  obs::Registry reg;
+  FeedbackStore store(reg);
+  auto part = make_partition({static_cast<std::uint8_t>(BlockMode::kSparse)});
+  store.record(0x6ull, part, make_timings(part, {1000}));
+  store.record(0x6ull, part, make_timings(part, {2000}));
+  EXPECT_EQ(global_records->value(), before);
+  EXPECT_EQ(reg.counter("msx_adaptive_feedback_records_total")->value(), 2u);
+  EXPECT_EQ(store.stats().records, 2u);
 }
 
 TEST(FeedbackStore, ConcurrentRecordRemodeIsSafe) {
-  FeedbackStore store;
+  obs::Registry reg;
+  FeedbackStore store(reg);
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
   std::vector<std::thread> threads;

@@ -74,6 +74,37 @@ TEST(ClientLocal, PipelinedResultsBitIdenticalToDirectCalls) {
   }
 }
 
+// Drain ordering: drain() is the executor's wait_idle(), which returns only
+// after every completion is counted — 4 submitting threads x 100 requests,
+// futures dropped, and the executor's view is exact after one drain().
+TEST(ClientLocal, DrainSettlesCompletionCountsExactly) {
+  auto backend = std::make_shared<Local>();
+  Client client(backend);
+  const auto b =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(40, 40, 4, 71));
+  const auto a =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(40, 40, 4, 72));
+
+  constexpr int kThreads = 4;
+  constexpr int kSubmits = 100;
+  std::vector<Session<SR, IT, VT>> sessions;  // one per submitting thread
+  for (int t = 0; t < kThreads; ++t) sessions.push_back(client.open_session());
+  std::vector<std::thread> threads;
+  for (auto& session : sessions) {
+    threads.emplace_back([&session, &a, &b] {
+      const auto h =
+          session.register_structure(StructureSpec<IT, VT>(b).self_mask());
+      for (int i = 0; i < kSubmits; ++i) (void)session.submit(a, h);
+    });
+  }
+  for (auto& t : threads) t.join();
+  client.drain();
+  const auto st = backend->executor().stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kThreads * kSubmits));
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.pending_jobs, 0u);
+}
+
 TEST(ClientLocal, AliasedStructureUsesRegisteredMask) {
   // k-truss shape: A, B and the mask are one matrix, expressed by sharing
   // the pointer. The submit ships/copies nothing beyond the handle.

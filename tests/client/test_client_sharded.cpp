@@ -125,6 +125,42 @@ TEST(ClientSharded, PipelinedBitIdenticalAcrossShards) {
   EXPECT_GT(hits, 0u);
 }
 
+// Drain ordering: the backend counts a completion before inflight_total_
+// drops, so after drain() the view is exact — 4 submitting threads x 100
+// requests, futures dropped, nothing but drain() in between.
+TEST(ClientSharded, DrainSettlesCompletionCountsExactly) {
+  Fleet fleet(2);
+  auto backend = std::make_shared<Sharded>(fleet.endpoints);
+  Client client(backend);
+  const auto b =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(40, 40, 4, 91));
+  const auto a =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(40, 40, 4, 92));
+
+  constexpr int kThreads = 4;
+  constexpr int kSubmits = 100;
+  // One session per thread (sessions are single-caller); kept open past
+  // drain() so no release traffic overlaps the check.
+  std::vector<Session<SR, IT, VT>> sessions;
+  for (int t = 0; t < kThreads; ++t) sessions.push_back(client.open_session());
+  std::vector<std::thread> threads;
+  for (auto& session : sessions) {
+    threads.emplace_back([&session, &a, &b] {
+      const auto h =
+          session.register_structure(StructureSpec<IT, VT>(b).self_mask());
+      for (int i = 0; i < kSubmits; ++i) (void)session.submit(a, h);
+    });
+  }
+  for (auto& t : threads) t.join();
+  backend->drain();
+  const auto st = backend->stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kThreads * kSubmits));
+  EXPECT_EQ(st.completed, st.submitted);
+  std::uint64_t routed = 0;
+  for (const auto r : st.routed) routed += r;
+  EXPECT_EQ(routed, st.submitted);
+}
+
 TEST(ClientSharded, AliasedKTrussStyleSubmitShipsOnlyFlags) {
   Fleet fleet(2);
   auto backend = std::make_shared<Sharded>(fleet.endpoints);

@@ -1,7 +1,7 @@
 // Metrics registry: log2-bucket histogram math at the bucket boundaries,
-// quantiles, Prometheus rendering, label merging, disabled mode, and
-// registry concurrency (runs under TSan via the obs_ ctest regex)
-// (ISSUE 9 tentpole).
+// quantiles, Prometheus rendering, render-time gauges, label merging,
+// disabled mode (which must never zero a stats view), and registry
+// concurrency (runs under TSan via the obs_ ctest regex).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "gen/erdos_renyi.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/batch.hpp"
 
 using namespace msx::obs;
 
@@ -83,6 +85,51 @@ TEST_F(MetricsTest, DisabledModeSkipsObservation) {
   EXPECT_EQ(h.count(), 1u);
 }
 
+// MSX_METRICS=0 stops histogram observation and nothing else: counters are
+// the storage behind the stats views, so the executor still counts its jobs.
+TEST_F(MetricsTest, DisabledModeNeverZeroesAStatsView) {
+  set_metrics_enabled(false);
+  const auto a = msx::erdos_renyi<std::int32_t, double>(30, 30, 4, 17);
+  msx::BatchLimits limits;
+  limits.pool_threads = 2;
+  msx::BatchExecutor<msx::PlusTimes<double>, std::int32_t, double> exec(
+      limits);
+  for (int i = 0; i < 3; ++i) exec.submit(a, a, a).get();
+  exec.wait_idle();
+  const auto st = exec.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.cache.misses, 1u);
+  EXPECT_EQ(st.cache.hits, 2u);
+  const Histogram* job = exec.metrics().find_histogram("msx_job_seconds");
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job->count(), 0u);
+  const std::string page = exec.metrics().render();
+  EXPECT_NE(page.find("msx_executor_jobs_completed_total 3\n"),
+            std::string::npos);
+  EXPECT_NE(page.find("msx_plan_cache_hits_total 2\n"), std::string::npos);
+}
+
+TEST_F(MetricsTest, GaugeFnIsEvaluatedAtRenderOutsideTheRegistryLock) {
+  Registry reg;
+  double depth = 2.0;
+  // The callback re-enters the registry, which only works because render()
+  // calls it after releasing the registry mutex.
+  reg.gauge_fn("msx_depth", "", [&] {
+    return depth + static_cast<double>(reg.counter("msx_seen_total")->value());
+  });
+  EXPECT_NE(reg.render().find("# TYPE msx_depth gauge\nmsx_depth 2\n"),
+            std::string::npos);
+  depth = 5.0;
+  reg.counter("msx_seen_total")->inc();
+  EXPECT_NE(reg.render().find("msx_depth 6\n"), std::string::npos);
+  // Re-registering the same series replaces its callback.
+  reg.gauge_fn("msx_depth", "", [] { return 1.5; });
+  const std::string text = reg.render("shard=\"s0\"");
+  EXPECT_NE(text.find("msx_depth{shard=\"s0\"} 1.5\n"), std::string::npos);
+  EXPECT_EQ(text.find("msx_depth{shard=\"s0\"} 6"), std::string::npos);
+}
+
 TEST_F(MetricsTest, RegistryInternsByNameAndLabels) {
   Registry reg;
   Counter* c1 = reg.counter("msx_test_total");
@@ -99,7 +146,7 @@ TEST_F(MetricsTest, PrometheusRendering) {
   Registry reg;
   reg.counter("msx_requests_total")->inc(41);
   reg.counter("msx_requests_total")->inc();
-  reg.gauge("msx_pending")->set(3.5);
+  reg.gauge_fn("msx_pending", "", [] { return 3.5; });
   Histogram* h = reg.histogram("msx_latency_seconds");
   for (int i = 0; i < 10; ++i) h->observe_ns(1000);
 
@@ -137,15 +184,19 @@ TEST_F(MetricsTest, ConcurrentObservationIsRaceFree) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, t] {
-      // Interleave lookups and observations: lookup interning is under the
-      // registry mutex, instruments are atomics.
+      // Interleave lookups, observations, callback rebinds and renders:
+      // interning and rebinding are under the registry mutex, instruments
+      // are atomics, and render copies callbacks before calling them.
       Counter* c = reg.counter("msx_conc_total");
       Histogram* h = reg.histogram("msx_conc_seconds");
-      Gauge* g = reg.gauge("msx_conc_gauge");
       for (int i = 0; i < kOps; ++i) {
         c->inc();
         h->observe_ns(static_cast<std::uint64_t>(i * (t + 1)));
-        if ((i & 1023) == 0) g->set(static_cast<double>(i));
+        if ((i & 1023) == 0) {
+          reg.gauge_fn("msx_conc_gauge", "",
+                       [i] { return static_cast<double>(i); });
+          EXPECT_FALSE(reg.render().empty());
+        }
       }
     });
   }

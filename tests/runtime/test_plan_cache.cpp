@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,7 +62,8 @@ TEST(PlanFingerprint, DiscriminatesStructureOptionsAndAliasing) {
 }
 
 TEST(PlanCache, HitsAfterMissAndComputesCorrectly) {
-  Cache cache(8);
+  obs::Registry reg;
+  Cache cache(reg, 8);
   const auto a = mat(80, 6, 11);
   const auto b = mat(80, 6, 12);
   const auto m = mat(80, 8, 13);
@@ -81,10 +83,18 @@ TEST(PlanCache, HitsAfterMissAndComputesCorrectly) {
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.instances, 1u);
+  // The registry is the storage: counters and render-time gauges agree with
+  // the view without any publish step.
+  const std::string page = reg.render();
+  EXPECT_NE(page.find("msx_plan_cache_hits_total 1\n"), std::string::npos);
+  EXPECT_NE(page.find("msx_plan_cache_misses_total 1\n"), std::string::npos);
+  EXPECT_NE(page.find("msx_plan_cache_instances 1\n"), std::string::npos);
+  EXPECT_NE(page.find("msx_plan_cache_hit_rate 0.5\n"), std::string::npos);
 }
 
 TEST(PlanCache, ConcurrentLeasesOfSameKeyGetDistinctInstances) {
-  Cache cache(8);
+  obs::Registry reg;
+  Cache cache(reg, 8);
   const auto a = mat(80, 6, 21);
   const auto b = mat(80, 6, 22);
   const auto m = mat(80, 8, 23);
@@ -99,7 +109,8 @@ TEST(PlanCache, ConcurrentLeasesOfSameKeyGetDistinctInstances) {
 }
 
 TEST(PlanCache, LruEvictsColdEntries) {
-  Cache cache(2);
+  obs::Registry reg;
+  Cache cache(reg, 2);
   const auto m = mat(40, 4, 30);
   std::vector<Mat> as;
   for (unsigned s = 0; s < 4; ++s) as.push_back(mat(40, 4, 31 + s));
@@ -122,7 +133,8 @@ TEST(PlanCache, LruEvictsColdEntries) {
 }
 
 TEST(PlanCache, BusyInstancesSurviveEviction) {
-  Cache cache(1);
+  obs::Registry reg;
+  Cache cache(reg, 1);
   const auto m = mat(40, 4, 40);
   const auto a1 = mat(40, 4, 41);
   const auto a2 = mat(40, 4, 42);
@@ -138,7 +150,8 @@ TEST(PlanCache, BusyInstancesSurviveEviction) {
 }
 
 TEST(PlanCache, ValueRefreshOnHitMatchesDirectCall) {
-  Cache cache(4);
+  obs::Registry reg;
+  Cache cache(reg, 4);
   const auto a = mat(70, 5, 51);
   const auto b = mat(70, 5, 52);
   const auto m = mat(70, 7, 53);
@@ -187,8 +200,9 @@ TEST(PlanCacheByteBudget, EvictsLruUntilUnderBudget) {
     one_plan_bytes = probe.resident_bytes();
   }
 
-  Cache cache(/*capacity=*/16, /*byte_budget=*/2 * one_plan_bytes +
-                                   one_plan_bytes / 2);
+  obs::Registry reg;
+  Cache cache(reg, /*capacity=*/16,
+              /*byte_budget=*/2 * one_plan_bytes + one_plan_bytes / 2);
   for (const auto& a : as) {
     auto lease = cache.acquire(a, a, m);
   }
@@ -208,7 +222,8 @@ TEST(PlanCacheByteBudget, EvictsLruUntilUnderBudget) {
 }
 
 TEST(PlanCacheByteBudget, ZeroBudgetMeansUnlimited) {
-  Cache cache(8);  // default: entry-count LRU only
+  obs::Registry reg;
+  Cache cache(reg, 8);  // default: entry-count LRU only
   const auto m = mat(100, 5, 90);
   std::vector<Mat> as;
   for (unsigned s = 0; s < 6; ++s) as.push_back(mat(100, 5, 91 + s));
@@ -227,7 +242,8 @@ TEST(PlanCacheByteBudget, ZeroBudgetMeansUnlimited) {
 TEST(PlanCacheByteBudget, LeaseReleaseRefreshesLazilyBuiltBytes) {
   // The two-phase symbolic rowptr is built by the first execute(), after
   // the insert-time measurement; handing the lease back must re-account.
-  Cache cache(8);
+  obs::Registry reg;
+  Cache cache(reg, 8);
   const auto a = mat(150, 6, 99);
   const auto m = mat(150, 7, 100);
   MaskedOptions opts;
@@ -249,7 +265,8 @@ TEST(PlanCacheByteBudget, BusyInstancesAreNotEvictedByBytes) {
   const auto a1 = mat(200, 6, 96);
   const auto a2 = mat(200, 6, 97);
   // Budget below a single plan: every insert is over budget immediately.
-  Cache cache(8, /*byte_budget=*/1);
+  obs::Registry reg;
+  Cache cache(reg, 8, /*byte_budget=*/1);
   auto lease = cache.acquire(a1, a1, m);
   {
     auto other = cache.acquire(a2, a2, m);
@@ -264,7 +281,8 @@ TEST(PlanCacheByteBudget, BusyInstancesAreNotEvictedByBytes) {
 }
 
 TEST(PlanCache, ParallelAcquireIsSafe) {
-  Cache cache(16);
+  obs::Registry reg;
+  Cache cache(reg, 16);
   const auto a = mat(60, 5, 61);
   const auto b = mat(60, 5, 62);
   const auto m = mat(60, 6, 63);

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <future>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -141,4 +142,31 @@ TEST(RuntimeStress, SharedWarmPlanSupportsConcurrentExecute) {
         [&] { return plan.execute(ExecContext::serial()) == want; }));
   }
   for (auto& f : futures) EXPECT_TRUE(f.get());
+}
+
+// Drain ordering: a job's completion is counted before wait_idle() can
+// return, so concurrent submitters that drop their futures still settle to
+// completed == submitted exactly, with nothing but wait_idle() in between.
+TEST(RuntimeStress, WaitIdleSettlesCompletionCountsExactly) {
+  const auto a = erdos_renyi<IT, VT>(40, 40, 4, 121);
+  const auto b = erdos_renyi<IT, VT>(40, 40, 4, 122);
+  const auto m = erdos_renyi<IT, VT>(40, 40, 5, 123);
+  BatchLimits limits;
+  limits.pool_threads = 4;
+  BatchExecutor<SR, IT, VT> exec(limits);
+
+  constexpr int kThreads = 4;
+  constexpr int kSubmits = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSubmits; ++i) (void)exec.submit(a, b, m);
+    });
+  }
+  for (auto& t : threads) t.join();
+  exec.wait_idle();
+  const auto st = exec.stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kThreads * kSubmits));
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.pending_jobs, 0u);
 }
