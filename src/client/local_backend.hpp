@@ -4,9 +4,9 @@
 // Registered structures are held as shared operands, and every submit goes
 // through BatchExecutor::submit_shared: nothing is copied per request, the
 // structure-keyed PlanCache serves repeats warm, and Priority maps straight
-// onto the executor's two-level queues. Completion rides the executor's
-// on_complete hook (the job's future is ready when it fires), so drain() is
-// exactly wait_idle().
+// onto the executor's two-level queues. The executor's completion maps each
+// JobResult straight to a Result on the worker, so drain() is exactly
+// wait_idle().
 //
 // Error taxonomy mapping: BatchRejected -> kOverloaded, std::invalid_argument
 // (shape/option validation, thrown inside the job) -> kBadRequest, a version
@@ -14,7 +14,7 @@
 // -> kInternalError. kShardDown cannot happen locally.
 #pragma once
 
-#include <future>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -120,46 +120,28 @@ class LocalBackend final : public Backend<SR, IT, VT> {
       return;
     }
 
-    // The executor's completion hook fires on the worker right after the
-    // job's future becomes ready; `bound` closes the tiny window between
-    // submit_shared returning the future and the hook consuming it.
-    struct Pending {
-      std::promise<void> bound;
-      std::future<typename Executor::output_matrix> fut;
-    };
-    auto pending = std::make_shared<Pending>();
     JobOptions job;
     job.priority = priority;
     // Session::submit is on the stack: adopt its trace so the executor's
     // exec.queue / exec.run (and phase.*) spans nest under the client root.
     job.trace = obs::current_trace();
     job.trace.component = "local";
-    job.on_complete = [pending, done]() {
-      pending->bound.get_future().wait();
-      Result r;
-      try {
-        r.matrix = pending->fut.get();
-      } catch (const std::invalid_argument& e) {
-        r.status = RequestStatus::kBadRequest;
-        r.message = e.what();
-      } catch (const std::exception& e) {
-        r.status = RequestStatus::kInternalError;
-        r.message = e.what();
-      }
-      done(std::move(r));
-    };
     try {
-      pending->fut =
-          exec_->submit_shared(std::move(a), s.b, std::move(m), opts,
-                               std::move(job), s.lineage);
-      pending->bound.set_value();
-    } catch (const BatchRejected& e) {
-      // Not enqueued: the hook never fires, deliver here.
-      deliver(done, RequestStatus::kOverloaded, e.what());
-    } catch (const std::invalid_argument& e) {
-      deliver(done, RequestStatus::kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      deliver(done, RequestStatus::kInternalError, e.what());
+      exec_->submit_shared(std::move(a), s.b, std::move(m), opts,
+                           std::move(job), s.lineage,
+                           [done](typename Executor::JobResult j) {
+                             if (j.error) {
+                               fail(done, j.error);
+                               return;
+                             }
+                             Result r;
+                             r.matrix = std::move(j.matrix);
+                             done(std::move(r));
+                           });
+    } catch (...) {
+      // Not enqueued (BatchRejected, null operand): the completion never
+      // runs, so answer here.
+      fail(done, std::current_exception());
     }
   }
 
@@ -190,6 +172,19 @@ class LocalBackend final : public Backend<SR, IT, VT> {
     r.status = status;
     r.message = std::move(message);
     done(std::move(r));
+  }
+
+  // The one error mapping, for admission and job failures alike.
+  static void fail(const Completion& done, std::exception_ptr error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const BatchRejected& e) {
+      deliver(done, RequestStatus::kOverloaded, e.what());
+    } catch (const std::invalid_argument& e) {
+      deliver(done, RequestStatus::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      deliver(done, RequestStatus::kInternalError, e.what());
+    }
   }
 
   std::unique_ptr<Executor> owned_;

@@ -726,6 +726,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
   void writer_loop(std::size_t shard, std::uint64_t gen, service::Stream& s) {
     for (;;) {
       SendItem item;
+      std::shared_ptr<const Mat> b;  // a submit's registered B (mu_-guarded)
       {
         MutexLock lock(&mu_);
         Conn& c = *conns_[shard];
@@ -737,6 +738,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
         auto& q = c.sendq_hi.empty() ? c.sendq_lo : c.sendq_hi;
         item = std::move(q.front());
         q.pop_front();
+        if (item.kind == SendItem::Kind::kSubmit) b = item.req->structure->b;
       }
       try {
         switch (item.kind) {
@@ -763,7 +765,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
           case SendItem::Kind::kSubmit: {
             const std::uint64_t t0 = obs::now_ns();
             service::GatherPayload g;
-            build_submit(g, *item.req);
+            build_submit(g, *item.req, b);
             send_frame_parts(s, service::MessageType::kSubmitRequest,
                              item.rid, g);
             if (obs::trace_enabled() && item.req->trace.valid()) {
@@ -785,10 +787,12 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     }
   }
 
-  void build_submit(service::GatherPayload& g, const Request& req) {
-    const Structure& s = *req.structure;
+  // `b` is the structure's registered B, read under mu_ by the caller
+  // (update_structure swaps it concurrently).
+  void build_submit(service::GatherPayload& g, const Request& req,
+                    const std::shared_ptr<const Mat>& b) {
     std::uint8_t flags = 0;
-    const bool a_is_b = req.a == s.b;
+    const bool a_is_b = req.a == b;
     if (a_is_b) flags |= service::kSubAIsB;
     const Mat* inline_a = a_is_b ? nullptr : req.a.get();
     const Mat* inline_m = nullptr;
@@ -796,7 +800,7 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
       flags |= service::kSubMRegistered;
     } else if (req.mask == req.a) {
       flags |= service::kSubMIsA;
-    } else if (req.mask == s.b) {
+    } else if (req.mask == b) {
       flags |= service::kSubMIsB;
     } else {
       inline_m = req.mask.get();
@@ -806,9 +810,10 @@ class ShardedBackend final : public Backend<SR, IT, VT> {
     }
     if (req.mask_rows) flags |= service::kSubMaskRows;
     if (req.trace.valid()) flags |= service::kSubTraced;
-    service::encode_submit_parts(g, s.id, req.version, flags, inline_a,
-                                 inline_m, req.opts, req.mask_r0, req.mask_r1,
-                                 req.trace.hi, req.trace.lo, req.trace_parent);
+    service::encode_submit_parts(g, req.structure->id, req.version, flags,
+                                 inline_a, inline_m, req.opts, req.mask_r0,
+                                 req.mask_r1, req.trace.hi, req.trace.lo,
+                                 req.trace_parent);
   }
 
   void reader_loop(std::size_t shard, std::uint64_t gen, service::Stream& s) {

@@ -98,7 +98,7 @@ enum class LockRank : std::uint32_t {
   kUnranked = 0,         // opts out of order checking (leaf/test mutexes)
   kClientSession = 10,   // client::Session in-flight gauge
   kClientBackend = 20,   // Local/ShardedBackend registry + connection state
-  kShard = 40,           // ServiceShard connections/listeners/stats/responses
+  kShard = 40,           // ServiceShard connections/listeners + response writes
   kExecutor = 50,        // BatchExecutor admission + wide lane
   kThreadPool = 60,      // ThreadPool task queues
   kTaskState = 65,       // per-run helper/arena completion state

@@ -22,11 +22,17 @@
 // Operands are copied at submit (service semantics: the caller may mutate or
 // drop its matrices immediately); aliased operands (k-truss passes the same
 // matrix as A, B and mask) are detected by address and stored once.
+//
+// Every job ends in one place: the worker hands a JobResult to the
+// submitter's completion (the service shard writes its response there, the
+// local client backend resolves its request). The future-returning submits
+// are adapters that fulfil a promise from that completion.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -79,29 +85,11 @@ class BatchRejected : public std::runtime_error {
             "BatchExecutor: admission limits reached (back-pressure)") {}
 };
 
-// Per-job queue/run timing, written by the executing worker inside the job
-// body — sequenced before the job's future becomes ready, so a caller that
-// reads it after future.get() / the completion hook (the shard's sender)
-// needs no extra synchronization.
-struct JobTiming {
-  std::uint64_t queue_ns = 0;  // admission -> execution start
-  std::uint64_t run_ns = 0;    // kernel execution (plan + execute)
-};
-
 // Per-job submit options beyond the MaskedOptions that shape the product
 // itself: queueing priority (interactive jobs are popped before batch jobs in
-// both the pool queue and the wide lane) and an optional completion hook.
+// both the pool queue and the wide lane) and the request's trace.
 struct JobOptions {
   Priority priority = Priority::kBatch;
-  // Invoked on the executing worker right after the job finishes (success or
-  // error) and before the executor's in-flight accounting settles, so
-  // wait_idle() returning guarantees every hook has run. The job's future is
-  // ready by the time the hook fires — this is the async client's completion
-  // seam. Must not throw and must not re-enter the executor.
-  std::function<void()> on_complete;
-  // When set, the worker stamps the job's queue/run split here (the v5
-  // response timing the shard ships back).
-  std::shared_ptr<JobTiming> timing;
   // Ambient trace for the job: the worker installs it for the duration, so
   // executor and phase_driver spans parent under the request's timeline.
   obs::TraceContext trace;
@@ -154,6 +142,21 @@ class BatchExecutor {
  public:
   using output_matrix = CSRMatrix<IT, typename SR::value_type>;
   using Cache = PlanCache<SR, IT, VT>;
+
+  // A finished job: the product, or the exception it failed with (then
+  // `matrix` is empty), plus its admission -> start and run times.
+  struct JobResult {
+    output_matrix matrix;
+    std::exception_ptr error;
+    std::uint64_t queue_ns = 0;
+    std::uint64_t run_ns = 0;
+  };
+  // Receives every admitted job's JobResult exactly once, on the executing
+  // worker, before the job leaves the executor's in-flight accounting: the
+  // job keeps its admission slot while the completion runs, and wait_idle()
+  // returning means every completion has returned. Must not throw and must
+  // not re-enter the executor.
+  using Completion = std::function<void(JobResult)>;
 
   explicit BatchExecutor(const BatchLimits& limits = {})
       : limits_(limits),
@@ -229,6 +232,29 @@ class BatchExecutor {
       std::shared_ptr<const CSRMatrix<IT, MT>> m,
       const MaskedOptions& opts = {}, JobOptions job = {},
       std::shared_ptr<const PlanLineage<IT, VT>> lineage = nullptr) {
+    auto promise = std::make_shared<std::promise<output_matrix>>();
+    auto future = promise->get_future();
+    submit_shared(std::move(a), std::move(b), std::move(m), opts,
+                  std::move(job), std::move(lineage), [promise](JobResult r) {
+                    if (r.error) {
+                      promise->set_exception(r.error);
+                    } else {
+                      promise->set_value(std::move(r.matrix));
+                    }
+                  });
+    return future;
+  }
+
+  // Completion form: the job's outcome goes to `done` on the worker instead
+  // of a future. Admission failures (BatchRejected, null operands) still
+  // throw here, and then `done` is never called.
+  template <class MT>
+  void submit_shared(std::shared_ptr<const CSRMatrix<IT, VT>> a,
+                     std::shared_ptr<const CSRMatrix<IT, VT>> b,
+                     std::shared_ptr<const CSRMatrix<IT, MT>> m,
+                     const MaskedOptions& opts, JobOptions job,
+                     std::shared_ptr<const PlanLineage<IT, VT>> lineage,
+                     Completion done) {
     check_arg(a != nullptr && b != nullptr && m != nullptr,
               "BatchExecutor::submit_shared: null operand");
     const JobShape shape = moldable_shape(
@@ -249,79 +275,55 @@ class BatchExecutor {
     admit(job_bytes);
 
     const std::uint64_t t_enq = obs::now_ns();
-    auto task = std::make_shared<std::packaged_task<output_matrix()>>(
-        [this, shape, a, b, m, opts, lineage, t_enq, timing = job.timing,
-         trace = job.trace]() -> output_matrix {
-          const std::uint64_t t_start = obs::now_ns();
-          const std::uint64_t queue_ns = t_start - t_enq;
-          if (timing != nullptr) timing->queue_ns = queue_ns;
-          h_queue_->observe_ns(queue_ns);
-          // Install the request's ambient trace so the exec.run span and any
-          // phase_driver spans below parent under the request timeline.
-          obs::ScopedTraceContext tctx(trace);
-          if (obs::trace_enabled()) {
-            obs::record_span("exec.queue", trace.id, obs::next_span_id(),
-                             trace.parent_span, t_enq, queue_ns,
-                             trace.component);
-          }
-          const auto invoke = [&]() -> output_matrix {
-            const auto& ra = *a;
-            const auto& rb = b == a ? ra : *b;
-            if constexpr (std::is_same_v<MT, VT>) {
-              if (static_cast<const void*>(m.get()) ==
-                  static_cast<const void*>(a.get())) {
-                return run_job(shape, ra, rb, ra, opts, lineage.get());
-              }
-              if (static_cast<const void*>(m.get()) ==
-                  static_cast<const void*>(b.get())) {
-                return run_job(shape, ra, rb, rb, opts, lineage.get());
-              }
-            }
-            return run_job(shape, ra, rb, *m, opts, lineage.get());
-          };
-          try {
-            obs::ScopedSpan span("exec.run");
-            output_matrix out = invoke();
-            const std::uint64_t run_ns = obs::now_ns() - t_start;
-            if (timing != nullptr) timing->run_ns = run_ns;
-            h_run_->observe_ns(run_ns);
-            h_job_->observe_ns(queue_ns + run_ns);
-            return out;
-          } catch (...) {
-            if (timing != nullptr) timing->run_ns = obs::now_ns() - t_start;
-            throw;
-          }
-        });
-    auto future = task->get_future();
+    auto body = [this, shape, a, b, m, opts, lineage, t_enq, job_bytes,
+                 trace = job.trace, done = std::move(done)] {
+      JobResult r;
+      const std::uint64_t t_start = obs::now_ns();
+      r.queue_ns = t_start - t_enq;
+      h_queue_->observe_ns(r.queue_ns);
+      {
+        // Install the request's ambient trace so the exec.run span and any
+        // phase_driver spans below parent under the request timeline.
+        obs::ScopedTraceContext tctx(trace);
+        if (obs::trace_enabled()) {
+          obs::record_span("exec.queue", trace.id, obs::next_span_id(),
+                           trace.parent_span, t_enq, r.queue_ns,
+                           trace.component);
+        }
+        try {
+          obs::ScopedSpan span("exec.run");
+          // Shared operands alias by pointer, so the plan sees the aliasing
+          // the submitter expressed.
+          r.matrix = run_job(shape, *a, *b, *m, opts, lineage.get());
+          r.run_ns = obs::now_ns() - t_start;
+          h_run_->observe_ns(r.run_ns);
+          h_job_->observe_ns(r.queue_ns + r.run_ns);
+        } catch (...) {
+          r.error = std::current_exception();
+          r.run_ns = obs::now_ns() - t_start;
+        }
+      }
+      done(std::move(r));
+      job_done(job_bytes);
+    };
 
     submitted_->inc();
     (shape == JobShape::kSmall ? small_jobs_ : wide_jobs_)->inc();
     if (job.priority == Priority::kInteractive) interactive_jobs_->inc();
-    const Priority priority = job.priority;
-    auto wrapped = [this, task, job_bytes,
-                    on_complete = std::move(job.on_complete)] {
-      (*task)();
-      // Hook before job_done: wait_idle() returning means every completion
-      // hook has fired, which is what lets backends drain deterministically.
-      if (on_complete) on_complete();
-      job_done(job_bytes);
-    };
     if (shape == JobShape::kSmall) {
-      pool_.submit_detached(std::move(wrapped), priority);
+      pool_.submit_detached(std::move(body), job.priority);
     } else {
       {
         MutexLock lock(&mu_);
-        (priority == Priority::kInteractive ? wide_queue_hi_ : wide_queue_)
-            .push_back(std::move(wrapped));
+        (job.priority == Priority::kInteractive ? wide_queue_hi_ : wide_queue_)
+            .push_back(std::move(body));
       }
       wide_cv_.notify_one();
     }
-    return future;
   }
 
-  // Blocks until every job submitted so far has completed. A job's future
-  // becomes ready slightly before job_done() counts it — read stats() after
-  // wait_idle() when exact completion counts matter.
+  // Blocks until every job submitted so far has completed and its
+  // completion has returned.
   void wait_idle() {
     MutexLock lock(&mu_);
     while (outstanding_ != 0) idle_cv_.wait(mu_);

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -63,9 +64,20 @@ class ThreadPool final : public TaskArena {
   template <class F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>&>> {
     using R = std::invoke_result_t<std::decay_t<F>&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto future = task->get_future();
-    submit_detached([task]() { (*task)(); });
+    auto promise = std::make_shared<std::promise<R>>();
+    auto future = promise->get_future();
+    submit_detached([promise, fn = std::forward<F>(fn)]() mutable {
+      try {
+        if constexpr (std::is_void_v<R>) {
+          fn();
+          promise->set_value();
+        } else {
+          promise->set_value(fn());
+        }
+      } catch (...) {
+        promise->set_exception(std::current_exception());
+      }
+    });
     return future;
   }
 

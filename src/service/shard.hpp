@@ -9,21 +9,21 @@
 // queueing unboundedly, and the client spills the request over to the next
 // shard on the ring.
 //
-// Per connection: the reader thread decodes and submits requests and a
-// sender thread streams responses back in submission order, so a connection
-// can keep many requests in flight (the executor runs them concurrently)
-// while the wire stays a simple FIFO of frames. Request ids are echoed
-// verbatim; a kMetricsRequest is answered in-line with the shard's
-// Prometheus page, which doubles as the client's health probe.
+// One thread per connection: it decodes and submits requests, so a
+// connection can keep many requests in flight (the executor runs them
+// concurrently). Each product's completion writes its own response from the
+// executor worker, so responses leave in completion order and clients match
+// them by the echoed request id; an interactive answer never waits behind an
+// earlier batch result, and a job keeps its admission slot until its
+// response is written. The reader writes immediate answers itself: errors,
+// kOverloaded, and the Prometheus page a kMetricsRequest asks for (the
+// client's health probe).
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -54,10 +54,10 @@ namespace detail {
 // it. Finished connections (serve callback returned) are reaped — joined
 // and freed, releasing the stream's fd — opportunistically on every adopt,
 // so a long-running shard cycling through short-lived connections stays
-// bounded. close() shuts every stream down (unblocking reader/sender
-// loops) and joins everything; streams adopted after close() are shut down
-// on arrival so a late accept cannot outlive stop(). Non-template
-// (shard.cpp).
+// bounded. close() shuts every stream down (unblocking each reader and any
+// completion blocked writing to it) and joins everything; streams adopted
+// after close() are shut down on arrival so a late accept cannot outlive
+// stop(). Non-template (shard.cpp).
 class ConnectionSet {
  public:
   ConnectionSet() = default;
@@ -161,21 +161,20 @@ class ServiceShard {
   }
 
   // Serves one connection on the calling thread (deterministic tests).
+  // Returns once every completion this connection started has run, so none
+  // can write to `s` after it is freed.
   void serve_stream(Stream& s) {
-    ResponseQueue responses;
+    Connection conn(s);
     // Session protocol (wire v2): structures registered by this connection,
     // alive exactly as long as it is. Only the reader thread touches it.
     std::unordered_map<std::uint64_t, Registered> registry;
-
-    std::thread sender([&] { sender_loop(s, responses); });
 
     FrameHeader header;
     std::vector<std::uint8_t> payload;
     try {
       while (recv_frame(s, header, payload)) {
         bytes_in_->inc(payload.size());
-        Pending p;
-        p.rid = header.request_id;
+        const std::uint64_t rid = header.request_id;
         switch (header.type) {
           case MessageType::kRegisterRequest:
             // One-way: a malformed registration throws WireError below and
@@ -185,45 +184,41 @@ class ServiceShard {
           case MessageType::kUnregisterRequest:
             registry.erase(decode_unregister(payload));
             continue;
-          case MessageType::kSubmitRequest:
-            p.type = MessageType::kResponse;
-            handle_submit(payload, registry, p);
+          case MessageType::kSubmitRequest: {
+            const auto error = handle_submit(payload, registry, conn, rid);
+            if (!error.empty()) send(conn, MessageType::kResponse, rid, error);
             break;
+          }
           case MessageType::kUpdateRequest:
             // One-way like register: FIFO frame ordering means a submit
             // behind this update sees the new version and matrix.
             handle_update(payload, registry);
             continue;
           case MessageType::kMetricsRequest:
-            p.type = MessageType::kMetricsResponse;
-            p.immediate = encode_metrics_text(metrics_text());
+            send(conn, MessageType::kMetricsResponse, rid,
+                 encode_metrics_text(metrics_text()));
             break;
           default:
-            p.type = MessageType::kResponse;
-            p.immediate = encode_error_response(
-                WireStatus::kBadRequest,
-                std::string("unexpected message type: ") +
-                    to_string(header.type));
+            send(conn, MessageType::kResponse, rid,
+                 encode_error_response(
+                     WireStatus::kBadRequest,
+                     std::string("unexpected message type: ") +
+                         to_string(header.type)));
             break;
         }
-        responses.push(std::move(p));
       }
     } catch (const WireVersionError& e) {
       // A peer speaking another protocol version: answer on its own request
       // id with an error naming both versions so it fails fast instead of
       // hanging on a silently dropped connection, then close — nothing else
       // it sends can be trusted to parse.
-      Pending p;
-      p.rid = e.request_id();
-      p.type = MessageType::kResponse;
-      p.immediate = encode_error_response(WireStatus::kBadRequest, e.what());
-      responses.push(std::move(p));
+      send(conn, MessageType::kResponse, e.request_id(),
+           encode_error_response(WireStatus::kBadRequest, e.what()));
     } catch (const WireError&) {
       // Malformed frame: the stream can no longer be trusted — drop it.
     } catch (const TransportError&) {
     }
-    responses.close();
-    sender.join();
+    conn.wait_idle();
     s.shutdown();
   }
 
@@ -275,66 +270,49 @@ class ServiceShard {
   }
 
  private:
-  // One queued response: either a submitted job's future (encoded by the
-  // sender when it completes) or a pre-encoded payload.
-  struct Pending {
+  // One connection's write side. The reader's immediate answers and every
+  // product's completion write whole frames under write_mu, taken with no
+  // other lock held. in_flight counts submitted products whose completion
+  // has not finished; serve_stream waits for it to reach zero.
+  struct Connection {
+    explicit Connection(Stream& s) : stream(s) {}
+    Stream& stream;
+    Mutex write_mu{LockRank::kShard, "ServiceShard::Connection::write_mu"};
+    Mutex mu{LockRank::kShard, "ServiceShard::Connection::mu"};
+    CondVar idle;
+    std::size_t in_flight MSX_GUARDED_BY(mu) = 0;
+
+    void begin() {
+      MutexLock lock(&mu);
+      ++in_flight;
+    }
+    // Notifies under the lock: once the waiter sees zero it may destroy
+    // this object, so nothing touches it after the lock is released.
+    void end() {
+      MutexLock lock(&mu);
+      if (--in_flight == 0) idle.notify_all();
+    }
+    void wait_idle() {
+      MutexLock lock(&mu);
+      while (in_flight != 0) idle.wait(mu);
+    }
+  };
+
+  // What a product's completion needs to answer it.
+  struct Reply {
+    Connection* conn = nullptr;
     std::uint64_t rid = 0;
-    MessageType type = MessageType::kResponse;
-    std::optional<std::future<output_matrix>> fut;
-    std::vector<std::uint8_t> immediate;
-    // Frame receipt time: the sender stamps receipt→result into the wire v4
-    // exec_nanos response field, the cost-model feedback clients fold into
-    // their per-shard EWMA. Includes queue wait on purpose — a loaded shard
-    // should look expensive to the 2D placer.
-    std::chrono::steady_clock::time_point t0 =
-        std::chrono::steady_clock::now();
-    // v5: the executor stamps the queue/run split here inside the job body
-    // (future-ready ordering makes the sender's read race-free).
-    std::shared_ptr<JobTiming> timing;
+    // Frame receipt time: receipt→completion is the wire v4 exec_nanos
+    // response field, the cost-model feedback clients fold into their
+    // per-shard EWMA. Includes queue wait on purpose — a loaded shard should
+    // look expensive to the 2D placer.
+    std::uint64_t t0 = 0;
     // v5: trace context from a kSubTraced submit. span_id is minted at
     // receipt so the executor's spans nest under the shard.request span the
-    // sender records once the result is known.
+    // completion records.
     obs::TraceId trace;
     std::uint64_t span_id = 0;
     std::uint64_t parent_span = 0;
-  };
-
-  // Response FIFO between one connection's reader and its sender thread —
-  // was four loose stack locals shared by reference, which the thread-safety
-  // analysis cannot type; as a struct the guarded members carry their
-  // MSX_GUARDED_BY contracts and both loops go through checked methods.
-  struct ResponseQueue {
-    Mutex mu{LockRank::kShard, "ServiceShard::ResponseQueue::mu"};
-    CondVar cv;
-    std::deque<Pending> items MSX_GUARDED_BY(mu);
-    bool closed MSX_GUARDED_BY(mu) = false;
-
-    void push(Pending p) {
-      {
-        MutexLock lock(&mu);
-        items.push_back(std::move(p));
-      }
-      cv.notify_one();
-    }
-
-    // Reader finished: wake the sender so it drains and exits.
-    void close() {
-      {
-        MutexLock lock(&mu);
-        closed = true;
-      }
-      cv.notify_all();
-    }
-
-    // Blocks for the next response; false once closed and drained.
-    bool pop(Pending& out) {
-      MutexLock lock(&mu);
-      while (!closed && items.empty()) cv.wait(mu);
-      if (items.empty()) return false;
-      out = std::move(items.front());
-      items.pop_front();
-      return true;
-    }
   };
 
   // A structure installed by kRegisterRequest: shared operands the executor
@@ -426,30 +404,32 @@ class ServiceShard {
 
   // Decodes and submits one session product: operands resolve against the
   // connection's registry, so only what the client actually shipped (a small
-  // A and/or mask, often nothing but flags) is copied here.
-  void handle_submit(std::span<const std::uint8_t> payload,
-                     std::unordered_map<std::uint64_t, Registered>& registry,
-                     Pending& p) {
+  // A and/or mask, often nothing but flags) is copied here. Returns the
+  // error payload of a request answered right away; empty once the job is
+  // submitted, and then its completion answers.
+  std::vector<std::uint8_t> handle_submit(
+      std::span<const std::uint8_t> payload,
+      std::unordered_map<std::uint64_t, Registered>& registry,
+      Connection& conn, std::uint64_t rid) {
+    Reply reply{.conn = &conn, .rid = rid, .t0 = obs::now_ns()};
     requests_->inc();
     try {
       auto sub = decode_submit<IT, VT>(payload);
       const auto it = registry.find(sub.structure_id);
       if (it == registry.end()) {
-        p.immediate = encode_error_response(
+        return encode_error_response(
             WireStatus::kBadRequest,
             "unknown structure id " + std::to_string(sub.structure_id));
-        return;
       }
       Registered& reg = it->second;
       if (sub.version != reg.version) {
         // Typed and retryable: the client raced an update (or kept an old
         // handle). Never run against the wrong matrix generation.
-        p.immediate = encode_error_response(
+        return encode_error_response(
             WireStatus::kStaleStructure,
             "structure " + std::to_string(sub.structure_id) +
                 " submitted at version " + std::to_string(sub.version) +
                 " but is at version " + std::to_string(reg.version));
-        return;
       }
       auto b = reg.b;
       auto a = sub.a_is_b
@@ -462,22 +442,19 @@ class ServiceShard {
         m = b;
       } else if (sub.m_registered) {
         if (reg.m == nullptr) {
-          p.immediate = encode_error_response(
-              WireStatus::kBadRequest,
-              "structure registered without a mask");
-          return;
+          return encode_error_response(WireStatus::kBadRequest,
+                                       "structure registered without a mask");
         }
         if (sub.mask_rows) {
           // 2D panel task: the client's A is one row panel; the matching
           // rows of the registered (column-sliced) mask complete the 2D
           // slice server-side, so the full mask never re-crosses the wire.
           if (sub.mask_r1 > static_cast<std::uint64_t>(reg.m->nrows())) {
-            p.immediate = encode_error_response(
+            return encode_error_response(
                 WireStatus::kBadRequest,
                 "mask row window [" + std::to_string(sub.mask_r0) + ", " +
                     std::to_string(sub.mask_r1) + ") exceeds the " +
                     std::to_string(reg.m->nrows()) + "-row registered mask");
-            return;
           }
           m = reg.mask_slice(sub.mask_r0, sub.mask_r1);
         } else {
@@ -488,89 +465,92 @@ class ServiceShard {
       }
       JobOptions job;
       job.priority = sub.priority;
-      p.timing = std::make_shared<JobTiming>();
-      job.timing = p.timing;
       if (sub.traced && obs::trace_enabled()) {
-        p.trace = obs::TraceId{sub.trace_hi, sub.trace_lo};
-        p.parent_span = sub.trace_parent;
-        p.span_id = obs::next_span_id();
+        reply.trace = obs::TraceId{sub.trace_hi, sub.trace_lo};
+        reply.parent_span = sub.trace_parent;
+        reply.span_id = obs::next_span_id();
         // The job's spans (exec.queue/exec.run, phase.*) parent under this
         // shard's request span and carry its name as their component.
-        job.trace = {p.trace, p.span_id, cfg_.name.c_str()};
+        job.trace = {reply.trace, reply.span_id, cfg_.name.c_str()};
       }
-      p.fut = exec_.submit_shared(std::move(a), std::move(b), std::move(m),
-                                  sub.opts, std::move(job), reg.lineage);
-    } catch (const BatchRejected& e) {
-      p.immediate = encode_error_response(WireStatus::kOverloaded, e.what());
-    } catch (const WireError& e) {
-      p.immediate = encode_error_response(WireStatus::kBadRequest, e.what());
-    } catch (const std::invalid_argument& e) {
-      p.immediate = encode_error_response(WireStatus::kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      p.immediate = encode_error_response(WireStatus::kInternalError,
-                                          e.what());
+      conn.begin();
+      try {
+        exec_.submit_shared(std::move(a), std::move(b), std::move(m),
+                            sub.opts, std::move(job), reg.lineage,
+                            [this, reply](typename Executor::JobResult r) {
+                              respond(reply, r);
+                            });
+      } catch (...) {
+        conn.end();  // not enqueued: no completion will run
+        throw;
+      }
+      return {};
+    } catch (...) {
+      return error_payload(std::current_exception());
     }
   }
 
-  // Drains the response queue in FIFO (submission) order. Execution is
-  // concurrent across the queue; only response bytes serialize here.
-  void sender_loop(Stream& s, ResponseQueue& responses) {
-    for (;;) {
-      Pending p;
-      if (!responses.pop(p)) return;
-      // Results go out as gather frames referencing the matrix in place (no
-      // payload-assembly copy); error payloads are small and pre-encoded.
-      std::optional<output_matrix> result;
-      std::vector<std::uint8_t> payload;
-      std::uint64_t nanos = 0;
-      if (p.fut.has_value()) {
-        try {
-          result = p.fut->get();
-        } catch (const BatchRejected& e) {
-          payload = encode_error_response(WireStatus::kOverloaded, e.what());
-        } catch (const std::invalid_argument& e) {
-          payload = encode_error_response(WireStatus::kBadRequest, e.what());
-        } catch (const std::exception& e) {
-          payload =
-              encode_error_response(WireStatus::kInternalError, e.what());
-        }
-        nanos = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - p.t0)
-                .count());
-        h_request_->observe_ns(nanos);
-        if (obs::trace_enabled() && p.trace.valid()) {
-          // Receipt-to-result on this shard; the executor's exec.queue /
-          // exec.run (and phase.*) spans already nest under p.span_id.
-          const std::uint64_t t0_ns = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  p.t0.time_since_epoch())
-                  .count());
-          obs::record_span("shard.request", p.trace, p.span_id,
-                           p.parent_span, t0_ns, nanos, cfg_.name.c_str());
-        }
-      } else {
-        payload = std::move(p.immediate);
-      }
-      try {
-        if (result.has_value()) {
-          GatherPayload g;
-          const JobTiming* t = p.timing.get();
-          encode_response_parts(g, *result, nanos,
-                                t != nullptr ? t->queue_ns : 0,
-                                t != nullptr ? t->run_ns : 0);
-          count_out(p.type, WireStatus::kOk, g.total_bytes());
-          send_frame_parts(s, p.type, p.rid, g);
-        } else {
-          count_out(p.type, response_status(p.type, payload),
-                    payload.size());
-          send_frame(s, p.type, p.rid, payload);
-        }
-      } catch (const TransportError&) {
-        // Peer gone: keep draining the queue so in-flight futures are
-        // consumed (results discarded), then exit via reader_done.
-      }
+  // A product's completion, on the executor worker: times, counts and
+  // writes the response, then releases the connection.
+  void respond(const Reply& reply, const typename Executor::JobResult& r) {
+    const std::uint64_t nanos = obs::now_ns() - reply.t0;
+    h_request_->observe_ns(nanos);
+    if (obs::trace_enabled() && reply.trace.valid()) {
+      // Receipt-to-completion on this shard; the executor's exec.queue /
+      // exec.run (and phase.*) spans already nest under span_id.
+      obs::record_span("shard.request", reply.trace, reply.span_id,
+                       reply.parent_span, reply.t0, nanos, cfg_.name.c_str());
     }
+    if (r.error) {
+      send(*reply.conn, MessageType::kResponse, reply.rid,
+           error_payload(r.error));
+    } else {
+      // A gather frame referencing the matrix in place (no payload copy).
+      GatherPayload g;
+      encode_response_parts(g, r.matrix, nanos, r.queue_ns, r.run_ns);
+      send(*reply.conn, MessageType::kResponse, reply.rid, WireStatus::kOk, g);
+    }
+    reply.conn->end();
+  }
+
+  // The one exception -> error payload mapping, for failures at submit and
+  // failures inside the job alike.
+  static std::vector<std::uint8_t> error_payload(std::exception_ptr error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const BatchRejected& e) {
+      return encode_error_response(WireStatus::kOverloaded, e.what());
+    } catch (const WireError& e) {
+      return encode_error_response(WireStatus::kBadRequest, e.what());
+    } catch (const std::invalid_argument& e) {
+      return encode_error_response(WireStatus::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      return encode_error_response(WireStatus::kInternalError, e.what());
+    } catch (...) {
+      return encode_error_response(WireStatus::kInternalError,
+                                   "unknown exception");
+    }
+  }
+
+  // Counts one response frame and writes it under the connection's write
+  // lock. A vanished peer loses the frame; the reader sees the failure on
+  // its next read.
+  void send(Connection& conn, MessageType type, std::uint64_t rid,
+            WireStatus status, GatherPayload& g) {
+    count_out(type, status, g.total_bytes());
+    try {
+      MutexLock lock(&conn.write_mu);
+      send_frame_parts(conn.stream, type, rid, g);
+    } catch (const TransportError&) {
+    }
+  }
+
+  // An answer encoded up front: an error, or the metrics page.
+  void send(Connection& conn, MessageType type, std::uint64_t rid,
+            std::span<const std::uint8_t> payload) {
+    GatherPayload g;
+    g.add_span(payload);
+    send(conn, type, rid, response_status(type, payload), g);
   }
 
   // The status word that leads a pre-encoded kResponse payload.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -122,8 +123,26 @@ TEST(BatchExecutor, ErrorsSurfaceAtFutureGet) {
   o.kind = MaskKind::kComplement;
   auto f2 = exec.submit(a, a, a, o);
   EXPECT_THROW(f2.get(), std::invalid_argument);
+  // The completion form receives the same error as an exception_ptr, and a
+  // successful job's result with its run time.
+  const auto sa = std::make_shared<const Mat>(a);
+  const auto sbad = std::make_shared<const Mat>(bad);
+  std::promise<Exec::JobResult> failed;
+  std::promise<Exec::JobResult> ok;
+  exec.submit_shared(sa, sbad, sa, {}, {}, nullptr, [&](Exec::JobResult r) {
+    failed.set_value(std::move(r));
+  });
+  exec.submit_shared(sa, sa, sa, {}, {}, nullptr,
+                     [&](Exec::JobResult r) { ok.set_value(std::move(r)); });
+  const auto r3 = failed.get_future().get();
+  ASSERT_TRUE(r3.error != nullptr);
+  EXPECT_THROW(std::rethrow_exception(r3.error), std::invalid_argument);
+  const auto r4 = ok.get_future().get();
+  EXPECT_TRUE(r4.error == nullptr);
+  EXPECT_GT(r4.run_ns, 0u);
+  EXPECT_TRUE(r4.matrix == masked_spgemm<SR>(a, a, a));
   exec.wait_idle();
-  EXPECT_EQ(exec.stats().completed, 2u);
+  EXPECT_EQ(exec.stats().completed, 4u);
 }
 
 TEST(BatchExecutor, DisabledPlanCachePlansEveryJob) {
@@ -281,7 +300,8 @@ TEST(PriorityQueue, InteractiveJobsPopBeforeBatchJobs) {
   BatchLimits limits;
   limits.pool_threads = 1;
   Exec exec(limits);
-  const auto a = erdos_renyi<IT, VT>(50, 50, 5, 31);
+  const auto a =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(50, 50, 5, 31));
 
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
@@ -292,22 +312,21 @@ TEST(PriorityQueue, InteractiveJobsPopBeforeBatchJobs) {
   auto tagged = [&](int tag, Priority prio) {
     JobOptions job;
     job.priority = prio;
-    job.on_complete = [&, tag] {
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(tag);
-    };
-    return exec.submit(a, a, a, MaskedOptions{}, std::move(job));
+    exec.submit_shared(a, a, a, MaskedOptions{}, job, nullptr,
+                       [&, tag](Exec::JobResult r) {
+                         EXPECT_TRUE(r.error == nullptr);
+                         std::lock_guard<std::mutex> lock(order_mu);
+                         order.push_back(tag);
+                       });
   };
 
-  std::vector<std::future<Mat>> futures;
-  futures.push_back(tagged(100, Priority::kBatch));
-  futures.push_back(tagged(101, Priority::kBatch));
-  futures.push_back(tagged(1, Priority::kInteractive));
-  futures.push_back(tagged(102, Priority::kBatch));
-  futures.push_back(tagged(2, Priority::kInteractive));
+  tagged(100, Priority::kBatch);
+  tagged(101, Priority::kBatch);
+  tagged(1, Priority::kInteractive);
+  tagged(102, Priority::kBatch);
+  tagged(2, Priority::kInteractive);
 
   gate.set_value();
-  for (auto& f : futures) f.get();
   exec.wait_idle();
 
   const std::vector<int> want{1, 2, 100, 101, 102};
@@ -318,15 +337,16 @@ TEST(PriorityQueue, InteractiveJobsPopBeforeBatchJobs) {
 TEST(PriorityQueue, WideLaneAlsoPrefersInteractive) {
   // Force every job wide (threshold 0 forces small; a tiny positive
   // threshold lands everything in the wide lane). The first job's
-  // completion hook blocks the lane on a gate — it runs on the wide thread,
+  // completion blocks the lane on a gate — it runs on the wide thread,
   // which cannot pop the next job until the hook returns — so the jobs
   // queued behind it are ordered deterministically: interactive first.
   BatchLimits limits;
   limits.pool_threads = 1;
   limits.wide_work_threshold = 1e-9;
   Exec exec(limits);
-  const auto a = erdos_renyi<IT, VT>(60, 60, 5, 32);
-  const auto want_mat = masked_spgemm<SR>(a, a, a);
+  const auto a =
+      std::make_shared<const Mat>(erdos_renyi<IT, VT>(60, 60, 5, 32));
+  const auto want_mat = masked_spgemm<SR>(*a, *a, *a);
 
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
@@ -336,27 +356,25 @@ TEST(PriorityQueue, WideLaneAlsoPrefersInteractive) {
   auto tagged = [&](int tag, Priority prio, bool stall) {
     JobOptions job;
     job.priority = prio;
-    job.on_complete = [&, tag, stall] {
-      if (stall) {
-        parked.set_value();  // the lane is provably busy with this job now
-        opened.wait();
-      }
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(tag);
-    };
-    return exec.submit(a, a, a, MaskedOptions{}, std::move(job));
+    exec.submit_shared(a, a, a, MaskedOptions{}, job, nullptr,
+                       [&, tag, stall](Exec::JobResult r) {
+                         EXPECT_TRUE(r.matrix == want_mat);
+                         if (stall) {
+                           // The lane is provably busy with this job now.
+                           parked.set_value();
+                           opened.wait();
+                         }
+                         std::lock_guard<std::mutex> lock(order_mu);
+                         order.push_back(tag);
+                       });
   };
 
-  std::vector<std::future<Mat>> futures;
-  futures.push_back(tagged(0, Priority::kBatch, /*stall=*/true));
+  tagged(0, Priority::kBatch, /*stall=*/true);
   parked.get_future().wait();  // everything below queues BEHIND job 0
-  futures.push_back(tagged(100, Priority::kBatch, false));
-  futures.push_back(tagged(101, Priority::kBatch, false));
-  futures.push_back(tagged(1, Priority::kInteractive, false));
+  tagged(100, Priority::kBatch, false);
+  tagged(101, Priority::kBatch, false);
+  tagged(1, Priority::kInteractive, false);
   gate.set_value();
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.get() == want_mat);
-  }
   exec.wait_idle();
   const std::vector<int> want{0, 1, 100, 101};
   EXPECT_EQ(order, want);

@@ -1,10 +1,12 @@
-// ServiceShard: serving loop, pipelining, error statuses, back-pressure
-// (kOverloaded) and counters, all driven through the session protocol
-// (kRegisterRequest + kSubmitRequest frames).
+// ServiceShard: serving loop, pipelining, completion-order responses, error
+// statuses, back-pressure (kOverloaded), teardown and counters, all driven
+// through the session protocol (kRegisterRequest + kSubmitRequest frames).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,8 +81,12 @@ TEST(ServiceShard, ServesRequestsBitIdenticalToDirectCalls) {
   EXPECT_GT(st.bytes_out, 0u);
 }
 
-TEST(ServiceShard, PipelinedRequestsAnswerInOrderWithEchoedIds) {
-  Shard shard;
+TEST(ServiceShard, PipelinedRequestsAnswerEveryEchoedIdOnce) {
+  // Two workers: responses can still overtake each other, and at most two
+  // plans are ever leased at once, so the cache builds at most two.
+  ShardConfig cfg;
+  cfg.limits.pool_threads = 2;
+  Shard shard(cfg);
   auto [client, server] = loopback_pair();
   shard.attach(std::move(server));
 
@@ -93,11 +99,15 @@ TEST(ServiceShard, PipelinedRequestsAnswerInOrderWithEchoedIds) {
   for (int i = 0; i < kInFlight; ++i) {
     send_submit(*client, 100 + i, 1, kSubAIsB | kSubMRegistered);
   }
+  // Responses leave in completion order: each id exactly once, any order.
+  std::set<std::uint64_t> answered;
   for (int i = 0; i < kInFlight; ++i) {
     FrameHeader h;
     std::vector<std::uint8_t> reply;
     ASSERT_TRUE(recv_frame(*client, h, reply));
-    EXPECT_EQ(h.request_id, 100u + static_cast<std::uint64_t>(i));
+    EXPECT_GE(h.request_id, 100u);
+    EXPECT_LT(h.request_id, 100u + kInFlight);
+    EXPECT_TRUE(answered.insert(h.request_id).second) << h.request_id;
     EXPECT_TRUE((decode_response<IT, VT>(reply).result == want));
   }
   // Repeated structure: the shard's plan cache served the repeats warm.
@@ -125,14 +135,14 @@ TEST(ServiceShard, BadRequestsGetStatusNotDisconnect) {
   // The connection survives both; a valid request still works.
   send_submit(*client, 3, 2, kSubAIsB | kSubMRegistered);
 
-  FrameHeader h;
-  std::vector<std::uint8_t> reply;
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kBadRequest);
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kBadRequest);
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOk);
+  // Responses leave in completion order; match them by request id.
+  for (int i = 0; i < 3; ++i) {
+    FrameHeader h;
+    std::vector<std::uint8_t> reply;
+    ASSERT_TRUE(recv_frame(*client, h, reply));
+    EXPECT_EQ((decode_response<IT, VT>(reply).status),
+              h.request_id == 3 ? WireStatus::kOk : WireStatus::kBadRequest);
+  }
 
   const auto st = shard.stats();
   EXPECT_EQ(st.errors, 2u);
@@ -183,21 +193,122 @@ TEST(ServiceShard, OverloadAnswersKOverloadedUnderRejectPolicy) {
     std::this_thread::yield();
   }
 
-  FrameHeader h;
-  std::vector<std::uint8_t> reply;
-  // Responses are FIFO; request 1 only completes once the gate opens, but
-  // request 2's rejection is already queued behind it.
   gate.set_value();
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ(h.request_id, 1u);
-  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOk);
-  ASSERT_TRUE(recv_frame(*client, h, reply));
-  EXPECT_EQ(h.request_id, 2u);
-  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOverloaded);
+  for (int i = 0; i < 2; ++i) {
+    FrameHeader h;
+    std::vector<std::uint8_t> reply;
+    ASSERT_TRUE(recv_frame(*client, h, reply));
+    EXPECT_EQ((decode_response<IT, VT>(reply).status),
+              h.request_id == 1 ? WireStatus::kOk : WireStatus::kOverloaded);
+  }
 
   const auto st = shard.stats();
   EXPECT_EQ(st.overloaded, 1u);
   EXPECT_EQ(st.errors, 0u);
+}
+
+// Responses leave in completion order, so the executor's priorities reach
+// the wire: an interactive request queued behind two batch requests on a
+// parked one-worker shard runs first and is answered first.
+TEST(ServiceShard, InteractiveAnswerLeavesBeforeEarlierBatchResults) {
+  ShardConfig cfg;
+  cfg.limits.pool_threads = 1;
+  Shard shard(cfg);
+  auto [client, server] = loopback_pair();
+  shard.attach(std::move(server));
+
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  shard.executor().pool().submit_detached([opened] { opened.wait(); });
+
+  const auto a = erdos_renyi<IT, VT>(60, 60, 5, 12);
+  send_register(*client, 1, a, &a);
+  send_submit(*client, 1, 1, kSubAIsB | kSubMRegistered);
+  send_submit(*client, 2, 1, kSubAIsB | kSubMRegistered);
+  send_submit(*client, 3, 1, kSubAIsB | kSubMRegistered | kSubInteractive);
+  while (shard.stats().jobs_submitted < 3) std::this_thread::yield();
+  gate.set_value();
+
+  std::vector<std::uint64_t> order;
+  for (int i = 0; i < 3; ++i) {
+    FrameHeader h;
+    std::vector<std::uint8_t> reply;
+    ASSERT_TRUE(recv_frame(*client, h, reply));
+    EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOk);
+    order.push_back(h.request_id);
+  }
+  EXPECT_EQ(order.front(), 3u);
+}
+
+// An immediate answer does not queue behind pending results: request 2's
+// kOverloaded arrives while request 1 still waits on the parked worker. A
+// watchdog opens the gate after 5 s, so a shard that holds the rejection
+// back fails this test instead of hanging it.
+TEST(ServiceShard, OverloadAnswerLeavesBeforePendingResults) {
+  ShardConfig cfg;
+  cfg.limits.pool_threads = 1;
+  cfg.limits.max_pending_jobs = 1;
+  cfg.limits.admission = AdmissionPolicy::kReject;
+  Shard shard(cfg);
+  auto [client, server] = loopback_pair();
+  shard.attach(std::move(server));
+
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  shard.executor().pool().submit_detached([opened] { opened.wait(); });
+  std::atomic<bool> gate_opened{false};
+  std::promise<void> answered;
+  std::thread watchdog([&, done = answered.get_future()] {
+    done.wait_for(std::chrono::seconds(5));
+    gate_opened.store(true);
+    gate.set_value();
+  });
+
+  const auto a = erdos_renyi<IT, VT>(60, 60, 5, 13);
+  send_register(*client, 1, a, &a);
+  send_submit(*client, 1, 1, kSubAIsB | kSubMRegistered);
+  while (shard.stats().jobs_submitted < 1) std::this_thread::yield();
+  send_submit(*client, 2, 1, kSubAIsB | kSubMRegistered);
+
+  FrameHeader h;
+  std::vector<std::uint8_t> reply;
+  const bool got = recv_frame(*client, h, reply);
+  const bool waited = gate_opened.load();
+  answered.set_value();
+  watchdog.join();
+  ASSERT_TRUE(got);
+  EXPECT_FALSE(waited) << "kOverloaded waited for the gate";
+  EXPECT_EQ(h.request_id, 2u);
+  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOverloaded);
+
+  ASSERT_TRUE(recv_frame(*client, h, reply));
+  EXPECT_EQ(h.request_id, 1u);
+  EXPECT_EQ((decode_response<IT, VT>(reply).status), WireStatus::kOk);
+}
+
+// A peer that submits and never reads: responses cannot fit the 4 KiB pipe,
+// so completions block writing. stop() must shut the stream down, release
+// those workers and return, with every job completed.
+TEST(ServiceShard, StopReleasesCompletionsBlockedOnAPeerThatNeverReads) {
+  ShardConfig cfg;
+  cfg.limits.pool_threads = 2;
+  Shard shard(cfg);
+  auto [client, server] = loopback_pair(4096);
+  shard.attach(std::move(server));
+
+  const auto a = erdos_renyi<IT, VT>(300, 300, 16, 14);
+  send_register(*client, 1, a, &a);
+  constexpr std::uint64_t kSubmits = 6;
+  for (std::uint64_t i = 0; i < kSubmits; ++i) {
+    send_submit(*client, i, 1, kSubAIsB | kSubMRegistered);
+  }
+  while (shard.stats().jobs_submitted < kSubmits) std::this_thread::yield();
+
+  shard.stop();  // the client end stays open and unread throughout
+  shard.executor().wait_idle();
+  const auto st = shard.executor().stats();
+  EXPECT_EQ(st.submitted, kSubmits);
+  EXPECT_EQ(st.completed, st.submitted);
 }
 
 TEST(ServiceShard, CountersShowInStatsAndMetricsPage) {
