@@ -9,8 +9,9 @@
 // on larger ones).
 //
 // With --json[=PATH] each grid cell becomes a record carrying, alongside the
-// winning scheme, the per-execution-mode columns of the adaptive engine
-// (ISSUE 10): Hash forced to sparse / bitmap / dense plus the auto planner —
+// winning scheme, one column per execution mode of the adaptive engine:
+// its three engines run as whole-product families (sparse = Hash, bitmap =
+// MSABitmap, dense = MSADense) plus the engine itself (auto = Adaptive) —
 // the per-cell data behind the mode-boundary picture the planner's cost
 // model encodes.
 #include <cstdio>
@@ -36,18 +37,17 @@ int main(int argc, char** argv) {
 
   auto schemes = our_schemes(/*include_two_phase=*/false);
 
-  // The adaptive mode columns: Hash-1P under each forced accumulator mode,
-  // plus the auto planner. Only timed when the JSON artifact is requested —
-  // the ASCII grid stays the paper's figure.
+  // The adaptive mode columns, each a 1P family. Only timed when the JSON
+  // artifact is requested — the ASCII grid stays the paper's figure.
   struct ModeColumn {
     const char* key;
-    AdaptiveMode mode;
+    MaskedAlgo algo;
   };
   const std::vector<ModeColumn> mode_columns{
-      {"seconds_mode_sparse", AdaptiveMode::kForceSparse},
-      {"seconds_mode_bitmap", AdaptiveMode::kForceBitmap},
-      {"seconds_mode_dense", AdaptiveMode::kForceDense},
-      {"seconds_mode_auto", AdaptiveMode::kAuto},
+      {"seconds_mode_sparse", MaskedAlgo::kHash},
+      {"seconds_mode_bitmap", MaskedAlgo::kMSABitmap},
+      {"seconds_mode_dense", MaskedAlgo::kMSADense},
+      {"seconds_mode_auto", MaskedAlgo::kAdaptive},
   };
 
   BenchJsonFile artifact("fig7_density_grid", cfg);
@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
               .field("best_seconds", best_t);
           for (const auto& col : mode_columns) {
             MaskedOptions o;
-            o.algo = MaskedAlgo::kHash;
-            o.adaptive = col.mode;
+            o.algo = col.algo;
             record.field(col.key,
                          time_masked_spgemm<PlusTimes<VT>>(a, b, m, o, cfg));
           }

@@ -11,9 +11,12 @@
 //   sparse-mask  everything sparse — the hash mode wins
 //   shifting     half the rows dense, half sparse — no single mode wins,
 //                the per-block planner has to mix
-// For each workload the same kHash plan runs with adaptive off / forced
-// sparse / forced bitmap / forced dense / auto; outputs are checked
-// bit-identical against the off baseline (hard failure otherwise).
+// For each workload a plan runs under each family the engine is built from —
+// Hash (labelled both "off" and "sparse"), MSABitmap ("bitmap"), MSADense
+// ("dense") — and under the engine itself, Adaptive ("auto"); outputs are
+// checked bit-identical against the Hash baseline (hard failure otherwise).
+// The forced families record no feedback, so the auto run starts from a
+// store that holds nothing for its structure.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -79,7 +82,12 @@ struct ModeRun {
   std::uint64_t feedback_hits = 0;
 };
 
-const char* adaptive_name(AdaptiveMode m) { return to_string(m); }
+// One measured configuration; `label` is the record's "adaptive" field,
+// which perf_trend matches records on.
+struct Mode {
+  const char* label;
+  MaskedAlgo algo;
+};
 
 }  // namespace
 
@@ -93,10 +101,11 @@ int main(int argc, char** argv) {
                "ISSUE 10 (adaptive per-block execution engine)", cfg);
 
   using SRt = PlusTimes<VT>;
-  const auto modes = std::vector<AdaptiveMode>{
-      AdaptiveMode::kOff, AdaptiveMode::kForceSparse,
-      AdaptiveMode::kForceBitmap, AdaptiveMode::kForceDense,
-      AdaptiveMode::kAuto};
+  const std::vector<Mode> modes{{"off", MaskedAlgo::kHash},
+                                {"sparse", MaskedAlgo::kHash},
+                                {"bitmap", MaskedAlgo::kMSABitmap},
+                                {"dense", MaskedAlgo::kMSADense},
+                                {"auto", MaskedAlgo::kAdaptive}};
 
   BenchJsonFile artifact("micro_adaptive", cfg);
   bool accept_match_best = false;
@@ -111,13 +120,12 @@ int main(int argc, char** argv) {
     Table table({"adaptive", "seconds", "vs off", "remodes", "modes s/b/d"});
 
     Mat baseline;
-    std::vector<std::pair<AdaptiveMode, ModeRun>> runs;
-    for (auto mode : modes) {
+    std::vector<std::pair<Mode, ModeRun>> runs;
+    for (const auto& mode : modes) {
       MaskedOptions o;
-      o.algo = MaskedAlgo::kHash;
+      o.algo = mode.algo;
       o.schedule = Schedule::kFlopBalanced;  // always partition
       o.threads = cfg.threads;
-      o.adaptive = mode;
       auto plan = masked_plan<SRt>(w.a, w.b, w.m, o);
 
       ModeRun run;
@@ -135,12 +143,12 @@ int main(int argc, char** argv) {
       const auto h = plan.adaptive_mode_histogram();
       for (int i = 0; i < adaptive::kBlockModeCount; ++i) run.hist[i] = h[i];
 
-      if (mode == AdaptiveMode::kOff) {
+      if (runs.empty()) {
         baseline = std::move(c);
       } else if (!(baseline == c)) {
         std::fprintf(stderr,
                      "BIT-IDENTITY FAILURE: workload %s adaptive=%s\n",
-                     w.name.c_str(), adaptive_name(mode));
+                     w.name.c_str(), mode.label);
         return 1;
       }
       runs.emplace_back(mode, run);
@@ -148,12 +156,15 @@ int main(int argc, char** argv) {
 
     double off_s = 0.0, auto_s = 0.0;
     double best_forced = 0.0, worst_forced = 0.0;
+    const ModeRun* auto_run = nullptr;
     for (const auto& [mode, run] : runs) {
-      if (mode == AdaptiveMode::kOff) off_s = run.seconds;
-      if (mode == AdaptiveMode::kAuto) auto_s = run.seconds;
-      if (mode == AdaptiveMode::kForceSparse ||
-          mode == AdaptiveMode::kForceBitmap ||
-          mode == AdaptiveMode::kForceDense) {
+      const std::string label = mode.label;
+      if (label == "off") off_s = run.seconds;
+      if (label == "auto") {
+        auto_s = run.seconds;
+        auto_run = &run;
+      }
+      if (label == "sparse" || label == "bitmap" || label == "dense") {
         if (best_forced == 0.0 || run.seconds < best_forced) {
           best_forced = run.seconds;
         }
@@ -162,7 +173,7 @@ int main(int argc, char** argv) {
     }
 
     for (const auto& [mode, run] : runs) {
-      table.add_row({adaptive_name(mode), Table::num(run.seconds * 1e3, 3) + "ms",
+      table.add_row({mode.label, Table::num(run.seconds * 1e3, 3) + "ms",
                      Table::num(off_s / run.seconds, 2) + "x",
                      std::to_string(run.remodes),
                      std::to_string(run.hist[0]) + "/" +
@@ -171,7 +182,7 @@ int main(int argc, char** argv) {
       JsonObject record;
       record.field("workload", w.name)
           .field("dim", static_cast<long long>(dim))
-          .field("adaptive", adaptive_name(mode))
+          .field("adaptive", mode.label)
           .field("seconds", run.seconds)
           .field("speedup_vs_off", off_s / run.seconds)
           .field("remodes", run.remodes)
@@ -187,15 +198,12 @@ int main(int argc, char** argv) {
       // 10% tolerance: "matches the fastest forced mode" under timer noise.
       accept_match_best = auto_s <= best_forced * 1.10;
       accept_beat_worst = auto_s < worst_forced;
-      for (const auto& [mode, run] : runs) {
-        if (mode != AdaptiveMode::kAuto) continue;
-        int used = 0;
-        for (int i = 0; i < adaptive::kBlockModeCount; ++i) {
-          used += run.hist[i] > 0 ? 1 : 0;
-        }
-        accept_mixed = used >= 2;
-        accept_remoded = run.feedback_hits > 0;
+      int used = 0;
+      for (int i = 0; i < adaptive::kBlockModeCount; ++i) {
+        used += auto_run->hist[i] > 0 ? 1 : 0;
       }
+      accept_mixed = used >= 2;
+      accept_remoded = auto_run->feedback_hits > 0;
       std::printf("\nshifting-density acceptance:\n"
                   "  auto %.3fms vs best forced %.3fms (<=1.10x: %s)\n"
                   "  auto vs worst forced %.3fms (faster: %s)\n"

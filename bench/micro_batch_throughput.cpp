@@ -63,9 +63,6 @@ int main(int argc, char** argv) {
   using SRt = PlusTimes<VT>;
   MaskedOptions opts;
   opts.threads = cfg.threads;
-  // MSX_ADAPTIVE engages the per-block adaptive engine on every job; the CI
-  // disabled-overhead gate reruns this bench with it pinned off.
-  opts.adaptive = adaptive_mode_from_env(AdaptiveMode::kOff);
 
   // Service usage: the stationary operands (B, the mask) are held shared and
   // cross the submit boundary by reference; only the per-request A is
@@ -184,7 +181,6 @@ int main(int argc, char** argv) {
 
   JsonObject record;
   record.field("jobs", jobs)
-      .field("adaptive", to_string(opts.adaptive))
       .field("structures", nstructures)
       .field("pool_threads", pool_threads)
       .field("sequential_seconds", best_seq)

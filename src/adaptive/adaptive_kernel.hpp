@@ -4,10 +4,9 @@
 // One row kernel that owns three interchangeable engines and switches
 // between them at partition-block granularity inside a single product:
 //
-//   sparse — HashKernel (hash accumulator, §5.3)
-//   bitmap — MSAKernel over the 2-bit bitmap MSA (byte MSA for complement,
-//            mirroring the registry's documented MSABitmap fallback)
-//   dense  — MSAKernel over the dense row tile (accum/dense_tile.hpp)
+//   sparse — the MaskedAlgo::kHash kernel (hash accumulator, §5.3)
+//   bitmap — the MaskedAlgo::kMSABitmap kernel (byte MSA for complement)
+//   dense  — the MaskedAlgo::kMSADense kernel (accum/dense_tile.hpp)
 //
 // All three accumulate per column in offer order with first-write-then-add
 // discipline and gather in mask-row order (masked) or ascending column
@@ -21,16 +20,12 @@
 // time: partitioned runs plan per-block modes once per structure (cached in
 // the RowPartition next to block_width) and set the workspace's mode in the
 // per-block prologue; non-partitioned dispatch (static schedule, serial
-// contexts, tiny inputs) runs everything in default_mode(). Forced modes
-// (MaskedOptions::adaptive = force-*) bypass the planner.
+// contexts, tiny inputs) runs everything in default_mode(). To pin one
+// engine, pick its family instead of MaskedAlgo::kAdaptive.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <type_traits>
 
-#include "accum/dense_tile.hpp"
-#include "accum/msa_bitmap.hpp"
 #include "adaptive/feedback.hpp"
 #include "adaptive/planner.hpp"
 #include "common/exec_context.hpp"
@@ -51,16 +46,8 @@ class AdaptiveKernel {
   using output_value = typename SR::value_type;
 
   using SparseK = HashKernel<SR, IT, VT, Complemented>;
-  // The bitmap MSA keeps no touched list, so complemented blocks run the
-  // byte-state MSA — the same fallback the registry documents for
-  // MaskedAlgo::kMSABitmap.
-  using BitmapK = std::conditional_t<
-      Complemented, MSAKernel<SR, IT, VT, true>,
-      MSAKernel<SR, IT, VT, false, MSABitmapMasked<IT, output_value>>>;
-  using DenseK = MSAKernel<
-      SR, IT, VT, Complemented,
-      std::conditional_t<Complemented, DenseTileComplement<IT, output_value>,
-                         DenseTileMasked<IT, output_value>>>;
+  using BitmapK = MSABitmapKernel<SR, IT, VT, Complemented>;
+  using DenseK = MSADenseKernel<SR, IT, VT, Complemented>;
 
   struct Workspace {
     typename SparseK::Workspace sparse;
@@ -76,22 +63,17 @@ class AdaptiveKernel {
   };
 
   AdaptiveKernel(const CSRMatrix<IT, VT>& a, const CSRMatrix<IT, VT>& b,
-                 MaskView<IT> m, AdaptiveMode policy)
-      : a_(a), b_(b), m_(m), policy_(policy), sparse_(a, b, m),
-        bitmap_(a, b, m), dense_(a, b, m) {
-    BlockMode forced;
-    if (forced_mode(policy_, &forced)) {
-      default_mode_ = static_cast<std::uint8_t>(forced);
-    } else {
-      // Whole-matrix fallback for non-partitioned dispatch: price the
-      // product as one block from O(1) estimates.
-      BlockCost c;
-      c.rows = static_cast<std::int64_t>(a_.nrows());
-      c.flops = static_cast<std::int64_t>(detail::push_work_hint(a_, b_));
-      c.mask_nnz = static_cast<std::int64_t>(m_.nnz());
-      c.width = static_cast<std::int64_t>(b_.ncols());
-      default_mode_ = static_cast<std::uint8_t>(choose_mode(c));
-    }
+                 MaskView<IT> m)
+      : a_(a), b_(b), m_(m), sparse_(a, b, m), bitmap_(a, b, m),
+        dense_(a, b, m) {
+    // Whole-matrix fallback for non-partitioned dispatch: price the product
+    // as one block from O(1) estimates.
+    BlockCost c;
+    c.rows = static_cast<std::int64_t>(a_.nrows());
+    c.flops = static_cast<std::int64_t>(detail::push_work_hint(a_, b_));
+    c.mask_nnz = static_cast<std::int64_t>(m_.nnz());
+    c.width = static_cast<std::int64_t>(b_.ncols());
+    default_mode_ = static_cast<std::uint8_t>(choose_mode(c));
   }
 
   IT nrows() const { return a_.nrows(); }
@@ -137,16 +119,13 @@ class AdaptiveKernel {
   std::uint8_t default_mode() const { return default_mode_; }
 
   // Fills part.block_mode / block_mode_cost from one parallel sweep of
-  // per-block flops and mask nnz. Forced policies still record the
-  // planner's costs (the FeedbackStore calibrates its coefficients against
-  // them) but pin every block to the forced mode.
+  // per-block flops and mask nnz (the FeedbackStore calibrates its
+  // coefficients against the recorded costs).
   void plan_block_modes(RowPartition& part, const ExecContext& ctx) const {
     const auto nb = static_cast<std::size_t>(part.blocks());
     part.block_mode.assign(nb, default_mode_);
     part.block_mode_cost.assign(nb * static_cast<std::size_t>(kBlockModeCount),
                                 0.0);
-    BlockMode forced;
-    const bool is_forced = forced_mode(policy_, &forced);
     ctx.for_block_ranges<std::int64_t>(
         part.bounds(),
         [&](int, int blk, std::int64_t lo, std::int64_t hi) {
@@ -169,8 +148,7 @@ class AdaptiveKernel {
                                  static_cast<std::size_t>(m)] =
                 predict_block_cost(static_cast<BlockMode>(m), c);
           }
-          part.block_mode[ublk] = static_cast<std::uint8_t>(
-              is_forced ? forced : choose_mode(c));
+          part.block_mode[ublk] = static_cast<std::uint8_t>(choose_mode(c));
         });
     FeedbackStore::global().note_planned(part);
   }
@@ -206,7 +184,6 @@ class AdaptiveKernel {
   const CSRMatrix<IT, VT>& a_;
   const CSRMatrix<IT, VT>& b_;
   MaskView<IT> m_;
-  AdaptiveMode policy_;
   SparseK sparse_;
   BitmapK bitmap_;
   DenseK dense_;

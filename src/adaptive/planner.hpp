@@ -26,8 +26,6 @@
 
 #include <cstdint>
 
-#include "core/options.hpp"
-
 namespace msx::adaptive {
 
 // Execution mode of one partition block. Values are the RowPartition's
@@ -96,34 +94,6 @@ inline BlockMode choose_mode(const BlockCost& c) {
     }
   }
   return best;
-}
-
-// The forced BlockMode of a force-* AdaptiveMode; false when `opt` is
-// kOff/kAuto (no forcing).
-inline bool forced_mode(AdaptiveMode opt, BlockMode* out) {
-  switch (opt) {
-    case AdaptiveMode::kForceSparse: *out = BlockMode::kSparse; return true;
-    case AdaptiveMode::kForceBitmap: *out = BlockMode::kBitmap; return true;
-    case AdaptiveMode::kForceDense: *out = BlockMode::kDense; return true;
-    case AdaptiveMode::kOff:
-    case AdaptiveMode::kAuto:
-      break;
-  }
-  return false;
-}
-
-// Whether the adaptive engine replaces the resolved algorithm's kernel.
-// Only the offer-order push families qualify: MSA, Hash and MSABitmap all
-// accumulate per column in offer order and gather in mask-row (masked) or
-// ascending-column (complement) order, so swapping their accumulators —
-// including the dense tile — is bit-identical. Heap merges in column order
-// (different floating-point addition order), MCA stores by mask position,
-// and the pull-based families don't accumulate at all; they ignore the
-// knob.
-inline bool engine_eligible(MaskedAlgo resolved, AdaptiveMode mode) {
-  if (mode == AdaptiveMode::kOff) return false;
-  return resolved == MaskedAlgo::kMSA || resolved == MaskedAlgo::kHash ||
-         resolved == MaskedAlgo::kMSABitmap;
 }
 
 }  // namespace msx::adaptive

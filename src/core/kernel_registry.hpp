@@ -5,8 +5,8 @@
 // algorithm family registers exactly one Entry per supported mask kind; an
 // absent pair (e.g. MCA × complement) is how "unsupported" is expressed.
 // Documented fallbacks (MSABitmap complement running the byte-state MSA,
-// HeapDot forcing NInspect = ∞) are encoded in the registered maker, so the
-// whole decision surface is in this file.
+// HeapDot forcing NInspect = ∞) are encoded in the kernel type or maker a
+// row names, so the whole decision surface is in this file's table.
 //
 // A factory produces a PlanKernelBase: a type-erased executable kernel that
 // owns its per-thread workspaces. Binding operands is cheap and repeatable;
@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "accum/msa_bitmap.hpp"
 #include "adaptive/adaptive_kernel.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
@@ -266,35 +265,30 @@ class PlanKernelImpl final : public PlanKernelBase<SR, IT, VT> {
 
 // --- makers: how each registry entry constructs its row kernel ---
 
-template <class SR, class IT, class VT, bool Complemented>
-struct MakeMSA {
-  static auto make(const KernelOperands<IT, VT>& in, const MaskedOptions&) {
-    return MSAKernel<SR, IT, VT, Complemented>(*in.a, *in.b, in.mask);
-  }
-};
-
-template <class SR, class IT, class VT>
-struct MakeMSABitmap {
-  static auto make(const KernelOperands<IT, VT>& in, const MaskedOptions&) {
-    return MSAKernel<SR, IT, VT, false,
-                     MSABitmapMasked<IT, typename SR::value_type>>(
-        *in.a, *in.b, in.mask);
+// Row kernels built from A, B and the mask alone.
+template <class Kernel>
+struct MakeRowKernel {
+  template <class IT, class VT>
+  static Kernel make(const KernelOperands<IT, VT>& in, const MaskedOptions&) {
+    return Kernel(*in.a, *in.b, in.mask);
   }
 };
 
 template <class SR, class IT, class VT, bool Complemented>
-struct MakeHash {
-  static auto make(const KernelOperands<IT, VT>& in, const MaskedOptions&) {
-    return HashKernel<SR, IT, VT, Complemented>(*in.a, *in.b, in.mask);
-  }
-};
-
+using MakeMSA = MakeRowKernel<MSAKernel<SR, IT, VT, Complemented>>;
+template <class SR, class IT, class VT, bool Complemented>
+using MakeMSABitmap = MakeRowKernel<MSABitmapKernel<SR, IT, VT, Complemented>>;
+template <class SR, class IT, class VT, bool Complemented>
+using MakeMSADense = MakeRowKernel<MSADenseKernel<SR, IT, VT, Complemented>>;
+template <class SR, class IT, class VT, bool Complemented>
+using MakeHash = MakeRowKernel<HashKernel<SR, IT, VT, Complemented>>;
 template <class SR, class IT, class VT>
-struct MakeMCA {
-  static auto make(const KernelOperands<IT, VT>& in, const MaskedOptions&) {
-    return MCAKernel<SR, IT, VT>(*in.a, *in.b, in.mask);
-  }
-};
+using MakeMCA = MakeRowKernel<MCAKernel<SR, IT, VT>>;
+// Adaptive per-block engine (src/adaptive/): owns the Hash, MSABitmap and
+// MSADense kernels and picks one per partition block.
+template <class SR, class IT, class VT, bool Complemented>
+using MakeAdaptive =
+    MakeRowKernel<adaptive::AdaptiveKernel<SR, IT, VT, Complemented>>;
 
 // ForceInfinity distinguishes HeapDot (NInspect = ∞ regardless of options)
 // from Heap (the caller's heap_ninspect, honoured for both mask kinds —
@@ -327,20 +321,6 @@ struct MakeHybrid {
   }
 };
 
-// Adaptive per-block engine (src/adaptive/): one kernel owning the sparse /
-// bitmap / dense push engines and dispatching per partition block. Not a
-// table entry — MaskedOptions::adaptive is fingerprint-neutral and must not
-// change which (algo, kind) pair a plan resolves to, so the plan swaps the
-// factory itself (see adaptive_factory below and MaskedPlan's ctor).
-template <class SR, class IT, class VT, bool Complemented>
-struct MakeAdaptive {
-  static auto make(const KernelOperands<IT, VT>& in,
-                   const MaskedOptions& opts) {
-    return adaptive::AdaptiveKernel<SR, IT, VT, Complemented>(
-        *in.a, *in.b, in.mask, opts.adaptive);
-  }
-};
-
 }  // namespace detail
 
 // The registry itself: a static table, one row per supported
@@ -366,7 +346,7 @@ struct KernelRegistry {
 
   static std::span<const Entry> entries() {
     using namespace detail;
-    static const std::array<Entry, 15> table = {{
+    static const std::array<Entry, 19> table = {{
         {MaskedAlgo::kMSA, MaskKind::kMask, false,
          &factory<MakeMSA<SR, IT, VT, false>>},
         {MaskedAlgo::kMSA, MaskKind::kComplement, false,
@@ -395,11 +375,17 @@ struct KernelRegistry {
         {MaskedAlgo::kHybrid, MaskKind::kComplement, true,
          &factory<MakeHybrid<SR, IT, VT, true>>},
         {MaskedAlgo::kMSABitmap, MaskKind::kMask, false,
-         &factory<MakeMSABitmap<SR, IT, VT>>},
-        // Extension fallback: the bitmap layout keeps no touched list, so
-        // complemented calls run the byte-state complement MSA.
+         &factory<MakeMSABitmap<SR, IT, VT, false>>},
         {MaskedAlgo::kMSABitmap, MaskKind::kComplement, false,
-         &factory<MakeMSA<SR, IT, VT, true>>},
+         &factory<MakeMSABitmap<SR, IT, VT, true>>},
+        {MaskedAlgo::kMSADense, MaskKind::kMask, false,
+         &factory<MakeMSADense<SR, IT, VT, false>>},
+        {MaskedAlgo::kMSADense, MaskKind::kComplement, false,
+         &factory<MakeMSADense<SR, IT, VT, true>>},
+        {MaskedAlgo::kAdaptive, MaskKind::kMask, false,
+         &factory<MakeAdaptive<SR, IT, VT, false>>},
+        {MaskedAlgo::kAdaptive, MaskKind::kComplement, false,
+         &factory<MakeAdaptive<SR, IT, VT, true>>},
     }};
     return table;
   }
@@ -412,17 +398,6 @@ struct KernelRegistry {
       if (e.algo == algo && e.kind == kind) return &e;
     }
     return nullptr;
-  }
-
-  // Factory for the adaptive engine (never needs a CSC mirror — all three of
-  // its engines are push-based). Used when adaptive::engine_eligible says the
-  // resolved algorithm's kernel can be replaced; deliberately outside the
-  // table so the (algo, kind) decision surface is unchanged by the knob.
-  static Factory adaptive_factory(MaskKind kind) {
-    using namespace detail;
-    return kind == MaskKind::kComplement
-               ? &factory<MakeAdaptive<SR, IT, VT, true>>
-               : &factory<MakeAdaptive<SR, IT, VT, false>>;
   }
 };
 

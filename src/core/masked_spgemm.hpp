@@ -2,8 +2,8 @@
 //
 // Dispatches to the algorithm families of the paper (§5: MSA, Hash, MCA,
 // Heap/HeapDot; §4.1: Inner) under either phase mode (§6), plus the Hybrid
-// per-row selector and an Auto whole-call heuristic derived from the Fig. 7
-// decision surface.
+// per-row selector, the Adaptive per-block engine and an Auto whole-call
+// heuristic derived from the Fig. 7 decision surface.
 //
 //   auto c = masked_spgemm<PlusTimes<double>>(a, b, m, opts);
 //
@@ -53,21 +53,6 @@ CSRMatrix<IT, typename SR::value_type> dispatch(
   const auto* entry = KernelRegistry<SR, IT, VT>::find(opts.algo, opts.kind);
   check_arg(entry != nullptr,
             unsupported_combo_message(opts.algo, opts.kind));
-
-  // Adaptive per-block engine: when the resolved algorithm is one of the
-  // offer-order push families, the knob swaps the kernel — same eligibility
-  // rule as MaskedPlan. Stateless calls plan modes per local partition but
-  // record no feedback (no retained structure to key it on; hold a plan for
-  // the feedback loop).
-  if (adaptive::engine_eligible(opts.algo, opts.adaptive)) {
-    auto kernel = KernelRegistry<SR, IT, VT>::adaptive_factory(opts.kind)();
-    KernelOperands<IT, VT> in;
-    in.a = &a;
-    in.b = &b;
-    in.mask = mask_of(m);
-    kernel->bind(in, opts);
-    return kernel->run(nullptr);
-  }
 
   // Pull-based and hybrid paths need B in CSC form.
   CSCMatrix<IT, VT> owned_csc;

@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
+#include "accum/dense_tile.hpp"
 #include "accum/msa.hpp"
+#include "accum/msa_bitmap.hpp"
 #include "core/kernel_common.hpp"
 #include "matrix/csr.hpp"
 #include "semiring/semirings.hpp"
@@ -133,5 +136,22 @@ class MSAKernel {
   const CSRMatrix<IT, VT>& b_;
   MaskView<IT> m_;
 };
+
+// MaskedAlgo::kMSABitmap: MSA with 2-bit packed states. The bitmap layout
+// keeps no touched list, so complemented calls fall back to the byte-state
+// MSA.
+template <class SR, class IT, class VT, bool Complemented>
+using MSABitmapKernel = std::conditional_t<
+    Complemented, MSAKernel<SR, IT, VT, true>,
+    MSAKernel<SR, IT, VT, false,
+              MSABitmapMasked<IT, typename SR::value_type>>>;
+
+// MaskedAlgo::kMSADense: MSA over the dense row tile, for both mask kinds.
+template <class SR, class IT, class VT, bool Complemented>
+using MSADenseKernel = MSAKernel<
+    SR, IT, VT, Complemented,
+    std::conditional_t<Complemented,
+                       DenseTileComplement<IT, typename SR::value_type>,
+                       DenseTileMasked<IT, typename SR::value_type>>>;
 
 }  // namespace msx

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace msx {
@@ -47,6 +46,8 @@ const char* to_string(MaskedAlgo a) {
     case MaskedAlgo::kHybrid: return "Hybrid";
     case MaskedAlgo::kMSABitmap: return "MSAB";
     case MaskedAlgo::kAuto: return "Auto";
+    case MaskedAlgo::kMSADense: return "MSAD";
+    case MaskedAlgo::kAdaptive: return "Adaptive";
   }
   return "?";
 }
@@ -66,37 +67,6 @@ const char* to_string(CostModel c) {
     case CostModel::kMaskNnz: return "masknnz";
   }
   return "?";
-}
-
-const char* to_string(AdaptiveMode m) {
-  switch (m) {
-    case AdaptiveMode::kOff: return "off";
-    case AdaptiveMode::kAuto: return "auto";
-    case AdaptiveMode::kForceSparse: return "sparse";
-    case AdaptiveMode::kForceBitmap: return "bitmap";
-    case AdaptiveMode::kForceDense: return "dense";
-  }
-  return "?";
-}
-
-AdaptiveMode adaptive_mode_from_string(const std::string& name) {
-  const std::string s = lower(name);
-  if (s == "off" || s == "none") return AdaptiveMode::kOff;
-  if (s == "auto" || s == "on") return AdaptiveMode::kAuto;
-  if (s == "sparse" || s == "force-sparse") return AdaptiveMode::kForceSparse;
-  if (s == "bitmap" || s == "force-bitmap") return AdaptiveMode::kForceBitmap;
-  if (s == "dense" || s == "force-dense") return AdaptiveMode::kForceDense;
-  throw std::invalid_argument("unknown adaptive mode: " + name);
-}
-
-AdaptiveMode adaptive_mode_from_env(AdaptiveMode dflt) {
-  const char* v = std::getenv("MSX_ADAPTIVE");
-  if (v == nullptr || *v == '\0') return dflt;
-  try {
-    return adaptive_mode_from_string(v);
-  } catch (const std::invalid_argument&) {
-    return dflt;
-  }
 }
 
 Schedule schedule_from_string(const std::string& name) {
@@ -130,6 +100,8 @@ MaskedAlgo algo_from_string(const std::string& name) {
   if (s == "hybrid") return MaskedAlgo::kHybrid;
   if (s == "msab" || s == "msabitmap") return MaskedAlgo::kMSABitmap;
   if (s == "auto") return MaskedAlgo::kAuto;
+  if (s == "msad" || s == "msadense") return MaskedAlgo::kMSADense;
+  if (s == "adaptive") return MaskedAlgo::kAdaptive;
   throw std::invalid_argument("unknown masked SpGEMM algorithm: " + name);
 }
 

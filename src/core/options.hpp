@@ -22,6 +22,9 @@ enum class MaskedAlgo {
   kMSABitmap,  // MSA with 2-bit packed states (extension; complement calls
                // fall back to the byte-state MSA)
   kAuto,       // whole-call heuristic choice (Fig. 7 decision surface)
+  kMSADense,   // MSA over the dense row tile (accum/dense_tile.hpp; extension)
+  kAdaptive,   // per-block accumulator choice with online cost feedback
+               // (src/adaptive/); never chosen by kAuto
 };
 
 enum class PhaseMode {
@@ -69,23 +72,6 @@ enum class Dist2D {
   kForce,  // split whenever a 2D plan is possible (tests, experiments)
 };
 
-// Per-block execution-mode selection (the adaptive engine, src/adaptive/).
-// Like Dist2D this knob is an execution hint, not plan identity: it never
-// crosses the wire and is not part of the plan fingerprint — every mode
-// produces bit-identical CSR output, so a cached plan may serve requests
-// with any setting. Only the offer-order push families engage the engine
-// (MSA, Hash, MSABitmap, or kAuto when it resolves to one of them); the
-// heap, pull-based and MCA algorithms ignore the knob — their accumulation
-// order differs, so swapping accumulators under them would break
-// bit-identity.
-enum class AdaptiveMode {
-  kOff,          // fixed accumulator chosen by MaskedAlgo (default)
-  kAuto,         // density-driven per-block choice + online cost feedback
-  kForceSparse,  // every block on the hash accumulator
-  kForceBitmap,  // every block on the bitmap MSA (byte MSA for complement)
-  kForceDense,   // every block on the dense row tile (accum/dense_tile.hpp)
-};
-
 struct MaskedOptions {
   MaskedAlgo algo = MaskedAlgo::kAuto;
   PhaseMode phases = PhaseMode::kOnePhase;
@@ -119,9 +105,6 @@ struct MaskedOptions {
   // row panels from the flop-balanced row split). Must be >= 0.
   int dist_row_panels = 0;
   int dist_col_panels = 0;
-  // --- adaptive per-block execution (fingerprint-neutral, like dist; see
-  // AdaptiveMode above and src/adaptive/) ----------------------------------
-  AdaptiveMode adaptive = AdaptiveMode::kOff;
 };
 
 // Rejects contradictory option combinations at the API boundary (throws
@@ -136,7 +119,6 @@ const char* to_string(MaskedAlgo a);
 const char* to_string(PhaseMode p);
 const char* to_string(MaskKind k);
 const char* to_string(CostModel c);
-const char* to_string(AdaptiveMode m);
 
 // Parses names like "msa", "heapdot" (case-insensitive); throws on unknown.
 MaskedAlgo algo_from_string(const std::string& name);
@@ -149,15 +131,6 @@ Schedule schedule_from_string(const std::string& name);
 // Parses "auto" / "flops" / "masknnz" (case-insensitive, "mask-nnz"
 // accepted); throws on unknown.
 CostModel cost_model_from_string(const std::string& name);
-
-// Parses "off" / "auto" / "sparse" / "bitmap" / "dense" (case-insensitive,
-// "force-" prefixes accepted); throws on unknown. The CLI/env seam for the
-// --adaptive knob of the benches and the MSX_ADAPTIVE variable.
-AdaptiveMode adaptive_mode_from_string(const std::string& name);
-
-// Resolves the MSX_ADAPTIVE environment variable (same vocabulary as
-// adaptive_mode_from_string); `dflt` when unset or unparsable.
-AdaptiveMode adaptive_mode_from_env(AdaptiveMode dflt = AdaptiveMode::kOff);
 
 // Canonical scheme label used in benchmark output, e.g. "MSA-1P".
 std::string scheme_name(MaskedAlgo a, PhaseMode p);

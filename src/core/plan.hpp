@@ -128,20 +128,8 @@ class MaskedPlan {
     const auto* entry = Registry::find(opts_.algo, opts_.kind);
     check_arg(entry != nullptr,
               detail::unsupported_combo_message(opts_.algo, opts_.kind));
-    // Adaptive per-block engine (src/adaptive/): when the resolved
-    // algorithm is one of the offer-order push families, the knob swaps the
-    // kernel for the mode-switching engine. Deliberately after the registry
-    // lookup — `adaptive` is fingerprint-neutral and must not change which
-    // (algo, kind) pairs are legal, and algo() still reports the resolved
-    // family.
-    adaptive_ = adaptive::engine_eligible(opts_.algo, opts_.adaptive);
-    if (adaptive_) {
-      needs_csc_ = false;  // all three adaptive engines push
-      kernel_ = Registry::adaptive_factory(opts_.kind)();
-    } else {
-      needs_csc_ = entry->needs_csc;
-      kernel_ = entry->make();
-    }
+    needs_csc_ = entry->needs_csc;
+    kernel_ = entry->make();
     adopt_structure(a, b, m, /*keep_b=*/false);
     setup_seconds_ = timer.seconds();
   }
@@ -163,27 +151,27 @@ class MaskedPlan {
   // serial-context execute skips the flop-balanced partition entirely, so
   // it does NOT warm the partition cache; under a partitioned schedule,
   // warm with one OpenMP/arena-context execute() (or serialize) before
-  // going concurrent. An *adaptive* plan under AdaptiveMode::kAuto
-  // additionally re-modes the cached partition's block modes at the top of
-  // every execute — a mutation — so adaptive kAuto executes must be
-  // serialized by the caller (the runtime's plan cache already leases
-  // plans exclusively). execute_values()/rebind() always remain exclusive:
-  // they mutate the stored operands.
+  // going concurrent. A MaskedAlgo::kAdaptive plan additionally re-modes
+  // the cached partition's block modes at the top of every execute — a
+  // mutation — so its executes must be serialized by the caller (the
+  // runtime's plan cache already leases plans exclusively).
+  // execute_values()/rebind() always remain exclusive: they mutate the
+  // stored operands.
   output_matrix execute(const ExecContext& ctx) {
     // Close the feedback loop before running: observed per-block timings
     // from earlier executes of this structure re-mode the cached partition
-    // in place (O(blocks), no replan). Forced modes skip this — they still
-    // *record* below, feeding calibration, but never deviate from the pin.
-    if (adaptive_ && opts_.adaptive == AdaptiveMode::kAuto &&
-        partition_.valid && !partition_.partition.block_mode.empty()) {
+    // in place (O(blocks), no replan).
+    const bool adaptive = opts_.algo == MaskedAlgo::kAdaptive;
+    if (adaptive && partition_.valid &&
+        !partition_.partition.block_mode.empty()) {
       last_remodes_ = adaptive::FeedbackStore::global().remode(
           adaptive_digest_, partition_.partition);
     }
     BlockTimings timings;
     auto c = kernel_->run(
         opts_.phases == PhaseMode::kTwoPhase ? &symbolic_ : nullptr,
-        &partition_, ctx, adaptive_ ? &timings : nullptr);
-    if (adaptive_ && !timings.empty()) {
+        &partition_, ctx, adaptive ? &timings : nullptr);
+    if (adaptive && !timings.empty()) {
       adaptive::FeedbackStore::global().record(
           adaptive_digest_, partition_.partition, timings);
     }
@@ -410,15 +398,11 @@ class MaskedPlan {
   // True when the plan holds a CSC copy of B (pull-based families).
   bool caches_csc() const { return needs_csc_; }
 
-  // True when the plan runs the adaptive per-block engine (src/adaptive/)
-  // instead of the resolved algorithm's own kernel. algo() still reports
-  // the resolved family — `adaptive` is an execution hint, not identity.
-  bool adaptive_engine() const { return adaptive_; }
   // Blocks whose mode the FeedbackStore changed at the top of the most
-  // recent execute() (kAuto only; 0 otherwise).
+  // recent execute() (MaskedAlgo::kAdaptive only; 0 otherwise).
   int last_remodes() const { return last_remodes_; }
   // Planned blocks per adaptive::BlockMode in the cached partition
-  // (index = BlockMode value); all zero until a partitioned adaptive
+  // (index = BlockMode value); all zero until a partitioned kAdaptive
   // execute has planned modes.
   std::array<int, adaptive::kBlockModeCount> adaptive_mode_histogram() const {
     std::array<int, adaptive::kBlockModeCount> h{};
@@ -570,7 +554,7 @@ class MaskedPlan {
     // the operand structures (adaptive/feedback.hpp). Computed per adopted
     // structure and deliberately NOT refreshed by apply_delta — prior
     // per-block observations remain the best estimate after a sparse patch.
-    if (adaptive_) {
+    if (opts_.algo == MaskedAlgo::kAdaptive) {
       std::uint64_t h = adaptive::kDigestSeed;
       h = adaptive::structure_digest<IT>(h, ops_->a.nrows(), ops_->a.ncols(),
                                          ops_->a.rowptr(), ops_->a.colidx());
@@ -592,7 +576,6 @@ class MaskedPlan {
 
   MaskedOptions opts_;
   bool needs_csc_ = false;
-  bool adaptive_ = false;
   std::unique_ptr<Operands> ops_;
   std::unique_ptr<PlanKernelBase<SR, IT, VT>> kernel_;
   TwoPhaseCache<IT> symbolic_;

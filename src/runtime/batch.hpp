@@ -106,8 +106,6 @@ struct BatchLimits {
   // tiny-input decision — below it a product cannot feed even one parallel
   // pass, so running it serial costs nothing and frees the pool.
   double wide_work_threshold = kAutoScheduleTinyWork;
-  // Disable to plan every job from scratch (ablation / memory ceiling).
-  bool cache_plans = true;
   // Plan-cache byte budget: bytes the cached plans may hold (operand copies,
   // CSC of B, symbolic rowptr, partition) before LRU eviction kicks in even
   // under the entry-count capacity. 0 = entry-count LRU only.
@@ -372,10 +370,6 @@ class BatchExecutor {
     const ExecContext ctx = shape == JobShape::kSmall
                                 ? ExecContext::serial()
                                 : ExecContext::arena(pool_);
-    if (!limits_.cache_plans) {
-      MaskedPlan<SR, IT, VT> plan(a, b, m, opts);
-      return plan.execute(ctx);
-    }
     auto lease = cache_.acquire(a, b, m, opts, lineage);
     if (!lease.reused()) return lease.plan().execute(ctx);
     // Cache hit: same structure, possibly different numerics — refresh the

@@ -166,10 +166,6 @@ PlanKey plan_fingerprint(const CSRMatrix<IT, VT>& a, const CSRMatrix<IT, VT>& b,
       opts.inner_gallop ? 1u : 0u,
       sizeof(IT),
   };
-  // Deliberately absent, like `dist`: opts.adaptive. The adaptive engine is
-  // bit-identical to the resolved algorithm, so the knob must not fork the
-  // cache; the first request's setting sticks for the cached plan's
-  // lifetime (documented in README "Adaptive execution").
 
   PlanKey key;
   auto mix = [&](const void* data, std::size_t len) {

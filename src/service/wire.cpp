@@ -111,7 +111,7 @@ E checked_enum(std::uint32_t raw, E max, const char* what) {
 
 MaskedOptions read_options(WireReader& r) {
   MaskedOptions opts;
-  opts.algo = checked_enum(r.get_u32(), MaskedAlgo::kAuto, "algo");
+  opts.algo = checked_enum(r.get_u32(), MaskedAlgo::kAdaptive, "algo");
   opts.phases = checked_enum(r.get_u32(), PhaseMode::kTwoPhase, "phase mode");
   opts.kind = checked_enum(r.get_u32(), MaskKind::kComplement, "mask kind");
   opts.schedule =

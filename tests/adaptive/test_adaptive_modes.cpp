@@ -1,12 +1,10 @@
-// Engine-level bit-identity of the adaptive per-block engine: for every
-// eligible algorithm × phase × mask kind, the CSR output must be EXACTLY
-// equal (operator==, no tolerance) across adaptive off / auto / every
-// forced mode — the contract that lets the ModePlanner choose on cost
-// alone. Plus eligibility edges (ineligible algorithms ignore the knob),
-// aliasing, and the option-string/env surface.
+// Engine-level bit-identity of the adaptive per-block engine and the
+// families its engines are: for every phase × mask kind, the CSR output of
+// Hash, MSABitmap, MSADense and Adaptive must be EXACTLY equal (operator==,
+// no tolerance) — the contract that lets the ModePlanner choose on cost
+// alone. Plus plan reuse and aliasing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "adaptive/planner.hpp"
@@ -25,13 +23,11 @@ using IT = int32_t;
 using VT = double;
 using SR = PlusTimes<VT>;
 
-std::vector<AdaptiveMode> all_adaptive_modes() {
-  return {AdaptiveMode::kOff, AdaptiveMode::kAuto, AdaptiveMode::kForceSparse,
-          AdaptiveMode::kForceBitmap, AdaptiveMode::kForceDense};
-}
-
-std::vector<MaskedAlgo> eligible_algos() {
-  return {MaskedAlgo::kMSA, MaskedAlgo::kHash, MaskedAlgo::kMSABitmap};
+// The adaptive engine and the three families it switches between per block
+// (sparse = Hash, bitmap = MSABitmap, dense = MSADense).
+std::vector<MaskedAlgo> engine_algos() {
+  return {MaskedAlgo::kHash, MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense,
+          MaskedAlgo::kAdaptive};
 }
 
 // A structure whose density shifts across row regions: the first half of
@@ -66,156 +62,70 @@ MixedWorkload mixed_workload(IT dim, std::uint64_t seed) {
   return w;
 }
 
-TEST(AdaptiveModes, BitIdenticalAcrossModesAllCombos) {
+TEST(AdaptiveFamilies, BitIdenticalAcrossModesAllCombos) {
   const auto w = mixed_workload(256, 17);
-  for (auto algo : eligible_algos()) {
-    for (auto kind : {MaskKind::kMask, MaskKind::kComplement}) {
-      for (auto phase : msx::testing::all_phases()) {
-        MaskedOptions o;
+  for (auto kind : {MaskKind::kMask, MaskKind::kComplement}) {
+    for (auto phase : msx::testing::all_phases()) {
+      MaskedOptions o;
+      o.algo = MaskedAlgo::kMSA;
+      o.kind = kind;
+      o.phases = phase;
+      const auto baseline = masked_spgemm<SR>(w.a, w.b, w.m, o);
+      const auto want = reference_masked_spgemm<SR>(w.a, w.b, w.m, kind);
+      EXPECT_TRUE(msx::testing::matrices_near(baseline, want))
+          << "MSA baseline vs reference";
+      for (auto algo : engine_algos()) {
         o.algo = algo;
-        o.kind = kind;
-        o.phases = phase;
-        o.adaptive = AdaptiveMode::kOff;
-        const auto baseline = masked_spgemm<SR>(w.a, w.b, w.m, o);
-        const auto want = reference_masked_spgemm<SR>(w.a, w.b, w.m, kind);
-        EXPECT_TRUE(msx::testing::matrices_near(baseline, want))
-            << to_string(algo) << " baseline vs reference";
-        for (auto mode : all_adaptive_modes()) {
-          o.adaptive = mode;
-          const auto got = masked_spgemm<SR>(w.a, w.b, w.m, o);
-          EXPECT_EQ(baseline, got)
-              << to_string(algo) << " kind=" << static_cast<int>(kind)
-              << " phase=" << static_cast<int>(phase)
-              << " adaptive=" << to_string(mode);
-        }
+        const auto got = masked_spgemm<SR>(w.a, w.b, w.m, o);
+        EXPECT_EQ(baseline, got)
+            << to_string(algo) << " kind=" << static_cast<int>(kind)
+            << " phase=" << static_cast<int>(phase);
       }
     }
   }
 }
 
-TEST(AdaptiveModes, PlanExecutesBitIdenticalAndReModes) {
+TEST(AdaptiveFamilies, PlanExecutesBitIdenticalAndReModes) {
   const auto w = mixed_workload(256, 29);
-  MaskedOptions off;
-  off.algo = MaskedAlgo::kHash;
-  off.schedule = Schedule::kFlopBalanced;  // always partition -> plan modes
-  off.adaptive = AdaptiveMode::kOff;
-  auto plan_off = masked_plan<SR>(w.a, w.b, w.m, off);
-  const auto baseline = plan_off.execute();
-  EXPECT_FALSE(plan_off.adaptive_engine());
+  MaskedOptions hash;
+  hash.algo = MaskedAlgo::kHash;
+  hash.schedule = Schedule::kFlopBalanced;  // always partition -> plan modes
+  auto plan_hash = masked_plan<SR>(w.a, w.b, w.m, hash);
+  const auto baseline = plan_hash.execute();
 
-  for (auto mode : all_adaptive_modes()) {
-    if (mode == AdaptiveMode::kOff) continue;
-    MaskedOptions o = off;
-    o.adaptive = mode;
+  for (auto algo : engine_algos()) {
+    MaskedOptions o = hash;
+    o.algo = algo;
     auto plan = masked_plan<SR>(w.a, w.b, w.m, o);
-    EXPECT_TRUE(plan.adaptive_engine()) << to_string(mode);
-    EXPECT_EQ(plan.algo(), MaskedAlgo::kHash);  // identity unchanged
+    EXPECT_EQ(plan.algo(), algo);
     // Repeated executes stay bit-identical even as feedback re-modes blocks.
     for (int rep = 0; rep < 3; ++rep) {
-      EXPECT_EQ(baseline, plan.execute())
-          << to_string(mode) << " rep " << rep;
+      EXPECT_EQ(baseline, plan.execute()) << to_string(algo) << " rep " << rep;
+    }
+    // Only the engine plans per-block modes; the plain families never do.
+    const auto h = plan.adaptive_mode_histogram();
+    const int planned = h[0] + h[1] + h[2];
+    if (algo == MaskedAlgo::kAdaptive) {
+      EXPECT_EQ(planned, plan.partition_blocks());
+    } else {
+      EXPECT_EQ(planned, 0) << to_string(algo);
     }
   }
 }
 
-TEST(AdaptiveModes, ForcedModesPinTheHistogram) {
-  const auto w = mixed_workload(256, 31);
-  struct Case {
-    AdaptiveMode opt;
-    adaptive::BlockMode pinned;
-  };
-  for (const auto& c :
-       {Case{AdaptiveMode::kForceSparse, adaptive::BlockMode::kSparse},
-        Case{AdaptiveMode::kForceBitmap, adaptive::BlockMode::kBitmap},
-        Case{AdaptiveMode::kForceDense, adaptive::BlockMode::kDense}}) {
-    MaskedOptions o;
-    o.algo = MaskedAlgo::kHash;
-    o.schedule = Schedule::kFlopBalanced;
-    o.adaptive = c.opt;
-    auto plan = masked_plan<SR>(w.a, w.b, w.m, o);
-    plan.execute();
-    ASSERT_TRUE(plan.partition_cached());
-    const auto h = plan.adaptive_mode_histogram();
-    int total = 0;
-    for (int m = 0; m < adaptive::kBlockModeCount; ++m) total += h[m];
-    EXPECT_EQ(h[static_cast<int>(c.pinned)], total)
-        << "forced " << to_string(c.pinned) << " must pin every block";
-  }
-}
-
-TEST(AdaptiveModes, IneligibleAlgosIgnoreTheKnob) {
-  auto a = rmat<IT, VT>(7, 40);
-  auto b = rmat<IT, VT>(7, 41);
-  auto m = rmat<IT, VT>(7, 42);
-  for (auto algo : {MaskedAlgo::kHeap, MaskedAlgo::kMCA, MaskedAlgo::kInner,
-                    MaskedAlgo::kHybrid, MaskedAlgo::kHeapDot}) {
-    MaskedOptions o;
-    o.algo = algo;
-    o.adaptive = AdaptiveMode::kOff;
-    const auto baseline = masked_spgemm<SR>(a, b, m, o);
-    o.adaptive = AdaptiveMode::kAuto;
-    EXPECT_EQ(baseline, masked_spgemm<SR>(a, b, m, o)) << to_string(algo);
-    // The plan path must not claim the adaptive engine either.
-    auto plan = masked_plan<SR>(a, b, m, o);
-    EXPECT_FALSE(plan.adaptive_engine()) << to_string(algo);
-  }
-}
-
-TEST(AdaptiveModes, AliasedOperandsBitIdentical) {
+TEST(AdaptiveFamilies, AliasedOperandsBitIdentical) {
   // k-truss shape: A = B = M, all the same object.
   auto a = rmat<IT, VT>(8, 55);
   MaskedOptions o;
-  o.algo = MaskedAlgo::kHash;
-  o.adaptive = AdaptiveMode::kOff;
+  o.algo = MaskedAlgo::kMSA;
   const auto baseline = masked_spgemm<SR>(a, a, a, o);
-  for (auto mode : all_adaptive_modes()) {
-    o.adaptive = mode;
-    EXPECT_EQ(baseline, masked_spgemm<SR>(a, a, a, o)) << to_string(mode);
+  for (auto algo : engine_algos()) {
+    o.algo = algo;
+    EXPECT_EQ(baseline, masked_spgemm<SR>(a, a, a, o)) << to_string(algo);
     auto plan = masked_plan<SR>(a, a, a, o);
-    EXPECT_EQ(baseline, plan.execute()) << to_string(mode);
-    EXPECT_EQ(baseline, plan.execute()) << to_string(mode) << " rerun";
+    EXPECT_EQ(baseline, plan.execute()) << to_string(algo);
+    EXPECT_EQ(baseline, plan.execute()) << to_string(algo) << " rerun";
   }
-}
-
-TEST(AdaptiveModes, OptionStringsRoundTrip) {
-  EXPECT_EQ(adaptive_mode_from_string("off"), AdaptiveMode::kOff);
-  EXPECT_EQ(adaptive_mode_from_string("auto"), AdaptiveMode::kAuto);
-  EXPECT_EQ(adaptive_mode_from_string("sparse"), AdaptiveMode::kForceSparse);
-  EXPECT_EQ(adaptive_mode_from_string("force-bitmap"),
-            AdaptiveMode::kForceBitmap);
-  EXPECT_EQ(adaptive_mode_from_string("DENSE"), AdaptiveMode::kForceDense);
-  EXPECT_THROW(adaptive_mode_from_string("banana"), std::invalid_argument);
-  for (auto mode : all_adaptive_modes()) {
-    EXPECT_EQ(adaptive_mode_from_string(to_string(mode)), mode);
-  }
-}
-
-TEST(AdaptiveModes, EnvKnobParsesAndDefaults) {
-  ::unsetenv("MSX_ADAPTIVE");
-  EXPECT_EQ(adaptive_mode_from_env(), AdaptiveMode::kOff);
-  EXPECT_EQ(adaptive_mode_from_env(AdaptiveMode::kAuto), AdaptiveMode::kAuto);
-  ::setenv("MSX_ADAPTIVE", "dense", 1);
-  EXPECT_EQ(adaptive_mode_from_env(), AdaptiveMode::kForceDense);
-  ::setenv("MSX_ADAPTIVE", "not-a-mode", 1);
-  EXPECT_EQ(adaptive_mode_from_env(AdaptiveMode::kAuto), AdaptiveMode::kAuto);
-  ::unsetenv("MSX_ADAPTIVE");
-}
-
-TEST(AdaptiveModes, EligibilityRule) {
-  EXPECT_FALSE(
-      adaptive::engine_eligible(MaskedAlgo::kHash, AdaptiveMode::kOff));
-  EXPECT_TRUE(
-      adaptive::engine_eligible(MaskedAlgo::kHash, AdaptiveMode::kAuto));
-  EXPECT_TRUE(
-      adaptive::engine_eligible(MaskedAlgo::kMSA, AdaptiveMode::kForceDense));
-  EXPECT_TRUE(adaptive::engine_eligible(MaskedAlgo::kMSABitmap,
-                                        AdaptiveMode::kAuto));
-  // Heap merges in column order — different FP addition order — so it must
-  // never be swapped for the offer-order engine.
-  EXPECT_FALSE(
-      adaptive::engine_eligible(MaskedAlgo::kHeap, AdaptiveMode::kAuto));
-  EXPECT_FALSE(
-      adaptive::engine_eligible(MaskedAlgo::kInner, AdaptiveMode::kAuto));
 }
 
 }  // namespace

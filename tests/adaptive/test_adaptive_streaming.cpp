@@ -47,11 +47,10 @@ TEST(AdaptiveStreaming, DeltaFlipsBlockModeWithoutReplan) {
   auto m = erdos_renyi<IT, VT>(dim, dim, 4, 303);
 
   MaskedOptions o;
-  o.algo = MaskedAlgo::kHash;
+  o.algo = MaskedAlgo::kAdaptive;
   o.schedule = Schedule::kFlopBalanced;
-  o.adaptive = AdaptiveMode::kAuto;
   auto plan = masked_plan<SR>(a, b, m, o);
-  ASSERT_TRUE(plan.adaptive_engine());
+  ASSERT_EQ(plan.algo(), MaskedAlgo::kAdaptive);
 
   plan.execute();
   ASSERT_TRUE(plan.partition_cached());
@@ -74,10 +73,10 @@ TEST(AdaptiveStreaming, DeltaFlipsBlockModeWithoutReplan) {
   EXPECT_GT(hist_after[static_cast<int>(adaptive::BlockMode::kDense)], 0)
       << "densifying delta must flip blocks to dense mode";
 
-  // Bit-identity against a fresh non-adaptive product on the patched B.
+  // Bit-identity against a fresh Hash product on the patched B.
   const auto b2 = apply_edge_delta(b, delta);
   MaskedOptions off = o;
-  off.adaptive = AdaptiveMode::kOff;
+  off.algo = MaskedAlgo::kHash;
   auto fresh = masked_plan<SR>(a, b2, m, off);
   EXPECT_EQ(fresh.execute(), c_after);
 }
@@ -89,9 +88,8 @@ TEST(AdaptiveStreaming, FeedbackSurvivesDeltaAndSecondExecuteHits) {
   auto m = erdos_renyi<IT, VT>(dim, dim, 24, 313);
 
   MaskedOptions o;
-  o.algo = MaskedAlgo::kMSA;
+  o.algo = MaskedAlgo::kAdaptive;
   o.schedule = Schedule::kFlopBalanced;
-  o.adaptive = AdaptiveMode::kAuto;
   auto plan = masked_plan<SR>(a, b, m, o);
 
   auto& store = adaptive::FeedbackStore::global();
@@ -120,7 +118,9 @@ TEST(AdaptiveStreaming, FeedbackSurvivesDeltaAndSecondExecuteHits) {
       << "digest must survive apply_delta";
 
   const auto b2 = apply_edge_delta(b, delta);
-  EXPECT_EQ(c3, (masked_spgemm<SR>(a, b2, m, o)));
+  MaskedOptions msa = o;
+  msa.algo = MaskedAlgo::kMSA;
+  EXPECT_EQ(c3, (masked_spgemm<SR>(a, b2, m, msa)));
 }
 
 TEST(AdaptiveStreaming, RepeatedDeltaLoopStaysBitIdentical) {
@@ -130,9 +130,8 @@ TEST(AdaptiveStreaming, RepeatedDeltaLoopStaysBitIdentical) {
   auto m = erdos_renyi<IT, VT>(dim, dim, 16, 323);
 
   MaskedOptions o;
-  o.algo = MaskedAlgo::kHash;
+  o.algo = MaskedAlgo::kAdaptive;
   o.schedule = Schedule::kFlopBalanced;
-  o.adaptive = AdaptiveMode::kAuto;
   o.phases = PhaseMode::kTwoPhase;  // exercise the symbolic splice too
   auto plan = masked_plan<SR>(a, b, m, o);
 
@@ -154,7 +153,7 @@ TEST(AdaptiveStreaming, RepeatedDeltaLoopStaysBitIdentical) {
     cur_b = apply_edge_delta(cur_b, delta);
     const auto got = plan.execute();
     MaskedOptions off = o;
-    off.adaptive = AdaptiveMode::kOff;
+    off.algo = MaskedAlgo::kHash;
     EXPECT_EQ(got, (masked_spgemm<SR>(a, cur_b, m, off)))
         << "delta step " << step;
   }

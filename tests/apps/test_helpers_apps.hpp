@@ -10,13 +10,14 @@ namespace msx::testing {
 inline std::vector<MaskedAlgo> all_algos() {
   return {MaskedAlgo::kMSA,  MaskedAlgo::kHash,    MaskedAlgo::kMCA,
           MaskedAlgo::kHeap, MaskedAlgo::kHeapDot, MaskedAlgo::kInner,
-          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap};
+          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense,
+          MaskedAlgo::kAdaptive};
 }
 
 inline std::vector<MaskedAlgo> complement_algos() {
   return {MaskedAlgo::kMSA,  MaskedAlgo::kHash,  MaskedAlgo::kHeap,
           MaskedAlgo::kHeapDot, MaskedAlgo::kInner, MaskedAlgo::kHybrid,
-          MaskedAlgo::kMSABitmap};
+          MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense, MaskedAlgo::kAdaptive};
 }
 
 inline std::vector<PhaseMode> all_phases() {

@@ -175,6 +175,32 @@ TEST(ClientSharded, AliasedKTrussStyleSubmitShipsOnlyFlags) {
   EXPECT_TRUE(res.matrix == masked_spgemm<SR>(*a, *a, *a));
 }
 
+// MaskedAlgo::kAdaptive crosses the wire as an ordinary algorithm code: the
+// shard runs the per-block engine (twice, so the second run re-modes from
+// feedback on the warm plan) and both replies equal the local Hash product.
+TEST(ClientSharded, AdaptiveSubmitMatchesLocalHash) {
+  Fleet fleet(2);
+  auto backend = std::make_shared<Sharded>(fleet.endpoints);
+  Client client(backend);
+  auto session = client.open_session();
+
+  auto b = std::make_shared<const Mat>(erdos_renyi<IT, VT>(300, 300, 12, 21));
+  auto m = std::make_shared<const Mat>(erdos_renyi<IT, VT>(300, 300, 30, 22));
+  auto handle = session.register_structure(StructureSpec<IT, VT>(b).mask(m));
+  auto a = std::make_shared<const Mat>(erdos_renyi<IT, VT>(300, 300, 10, 23));
+
+  MaskedOptions hash;
+  hash.algo = MaskedAlgo::kHash;
+  const Mat want = masked_spgemm<SR>(*a, *b, *m, hash);
+  SubmitOptions adaptive;
+  adaptive.masked.algo = MaskedAlgo::kAdaptive;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto res = session.submit(a, handle, adaptive).get();
+    ASSERT_TRUE(res.ok()) << res.message;
+    EXPECT_TRUE(res.matrix == want) << "rep " << rep;
+  }
+}
+
 // A hand-rolled server that answers correctly but in REVERSE order of
 // arrival within each batch: completions must still land on the right
 // futures via request-id matching.

@@ -20,7 +20,8 @@ using VT = float;
 const std::vector<MaskedAlgo> kAlgos{
     MaskedAlgo::kMSA,  MaskedAlgo::kHash,    MaskedAlgo::kMCA,
     MaskedAlgo::kHeap, MaskedAlgo::kHeapDot, MaskedAlgo::kInner,
-    MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap};
+    MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense,
+    MaskedAlgo::kAdaptive};
 
 TEST(AltTypes, AllSchemesMatchReference) {
   auto a = erdos_renyi<IT, VT>(120, 120, 7, 1);

@@ -17,7 +17,8 @@ namespace msx::testing {
 inline std::vector<MaskedAlgo> all_algos() {
   return {MaskedAlgo::kMSA,  MaskedAlgo::kHash,    MaskedAlgo::kMCA,
           MaskedAlgo::kHeap, MaskedAlgo::kHeapDot, MaskedAlgo::kInner,
-          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap};
+          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense,
+          MaskedAlgo::kAdaptive};
 }
 
 // Algorithms that support complemented masks (all but MCA; kMSABitmap falls
@@ -25,7 +26,7 @@ inline std::vector<MaskedAlgo> all_algos() {
 inline std::vector<MaskedAlgo> complement_algos() {
   return {MaskedAlgo::kMSA,  MaskedAlgo::kHash,  MaskedAlgo::kHeap,
           MaskedAlgo::kHeapDot, MaskedAlgo::kInner, MaskedAlgo::kHybrid,
-          MaskedAlgo::kMSABitmap};
+          MaskedAlgo::kMSABitmap, MaskedAlgo::kMSADense, MaskedAlgo::kAdaptive};
 }
 
 inline std::vector<PhaseMode> all_phases() {

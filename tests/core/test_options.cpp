@@ -12,7 +12,8 @@ namespace {
 std::vector<MaskedAlgo> every_algo() {
   return {MaskedAlgo::kMSA,    MaskedAlgo::kHash,      MaskedAlgo::kMCA,
           MaskedAlgo::kHeap,   MaskedAlgo::kHeapDot,   MaskedAlgo::kInner,
-          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap, MaskedAlgo::kAuto};
+          MaskedAlgo::kHybrid, MaskedAlgo::kMSABitmap, MaskedAlgo::kAuto,
+          MaskedAlgo::kMSADense, MaskedAlgo::kAdaptive};
 }
 
 TEST(Options, AlgoStringRoundTripsForEveryValue) {
@@ -26,6 +27,8 @@ TEST(Options, AlgoParsingIsCaseInsensitiveWithAliases) {
   EXPECT_EQ(algo_from_string("Msa"), MaskedAlgo::kMSA);
   EXPECT_EQ(algo_from_string("msab"), MaskedAlgo::kMSABitmap);
   EXPECT_EQ(algo_from_string("msabitmap"), MaskedAlgo::kMSABitmap);
+  EXPECT_EQ(algo_from_string("MSADense"), MaskedAlgo::kMSADense);
+  EXPECT_EQ(algo_from_string("ADAPTIVE"), MaskedAlgo::kAdaptive);
   EXPECT_THROW(algo_from_string("notanalgo"), std::invalid_argument);
 }
 
@@ -43,6 +46,10 @@ TEST(Options, SchemeNameGoldenStrings) {
   EXPECT_EQ(scheme_name(MaskedAlgo::kMSABitmap, PhaseMode::kOnePhase),
             "MSAB-1P");
   EXPECT_EQ(scheme_name(MaskedAlgo::kAuto, PhaseMode::kTwoPhase), "Auto-2P");
+  EXPECT_EQ(scheme_name(MaskedAlgo::kMSADense, PhaseMode::kOnePhase),
+            "MSAD-1P");
+  EXPECT_EQ(scheme_name(MaskedAlgo::kAdaptive, PhaseMode::kTwoPhase),
+            "Adaptive-2P");
 }
 
 TEST(Options, ScheduleStringRoundTripsForEveryValue) {

@@ -316,6 +316,22 @@ TEST(Plan, AutoResolvesOnceAndMatchesStatelessAuto) {
   EXPECT_TRUE(plan.execute() == masked_spgemm<SR>(a, b, m));
 }
 
+TEST(Plan, AutoNeverResolvesToDenseTileOrAdaptive) {
+  for (double a_nnz : {1e2, 1e4, 1e6}) {
+    for (double m_nnz : {1e2, 1e4, 1e6}) {
+      for (std::int64_t ncols : {std::int64_t{1} << 10,
+                                 std::int64_t{1} << 20}) {
+        for (auto kind : {MaskKind::kMask, MaskKind::kComplement}) {
+          const MaskedAlgo got = detail::choose_auto_algo(
+              1e3, a_nnz, a_nnz, m_nnz, ncols, kind);
+          EXPECT_NE(got, MaskedAlgo::kMSADense);
+          EXPECT_NE(got, MaskedAlgo::kAdaptive);
+        }
+      }
+    }
+  }
+}
+
 TEST(Plan, CachesCscOnlyForPullBasedFamilies) {
   const auto a = erdos_renyi<IT, VT>(50, 50, 5, 24);
   const auto b = erdos_renyi<IT, VT>(50, 50, 5, 25);

@@ -145,16 +145,6 @@ TEST(BatchExecutor, ErrorsSurfaceAtFutureGet) {
   EXPECT_EQ(exec.stats().completed, 4u);
 }
 
-TEST(BatchExecutor, DisabledPlanCachePlansEveryJob) {
-  BatchLimits limits;
-  limits.cache_plans = false;
-  Exec exec(limits);
-  const auto a = erdos_renyi<IT, VT>(80, 80, 5, 14);
-  const auto want = masked_spgemm<SR>(a, a, a);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(exec.submit(a, a, a).get() == want);
-  EXPECT_EQ(exec.stats().cache.hits, 0u);
-}
-
 TEST(Admission, RejectPolicyThrowsWhenPendingJobsAtLimit) {
   BatchLimits limits;
   limits.pool_threads = 1;

@@ -92,6 +92,36 @@ TEST(PlanCache, HitsAfterMissAndComputesCorrectly) {
   EXPECT_NE(page.find("msx_plan_cache_hit_rate 0.5\n"), std::string::npos);
 }
 
+TEST(PlanCache, AdaptiveFamilyIsItsOwnKey) {
+  obs::Registry reg;
+  Cache cache(reg, 8);
+  const auto a = mat(80, 6, 31);
+  const auto b = mat(80, 6, 32);
+  const auto m = mat(80, 8, 33);
+  MaskedOptions hash;
+  hash.algo = MaskedAlgo::kHash;
+  MaskedOptions adaptive;
+  adaptive.algo = MaskedAlgo::kAdaptive;
+
+  Mat want;
+  {
+    auto lease = cache.acquire(a, b, m, hash);
+    EXPECT_FALSE(lease.reused());
+    want = lease.plan().execute();
+  }
+  {
+    // Same structure, other family: a miss that builds the engine plan,
+    // never a hit on the Hash plan.
+    auto lease = cache.acquire(a, b, m, adaptive);
+    EXPECT_FALSE(lease.reused());
+    EXPECT_EQ(lease.plan().algo(), MaskedAlgo::kAdaptive);
+    EXPECT_TRUE(lease.plan().execute() == want);
+  }
+  const auto st = cache.stats();
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.hits, 0u);
+}
+
 TEST(PlanCache, ConcurrentLeasesOfSameKeyGetDistinctInstances) {
   obs::Registry reg;
   Cache cache(reg, 8);

@@ -227,6 +227,26 @@ TEST(WireSession, RejectsTypeMismatchAndBadEnums) {
   EXPECT_THROW((decode_submit<IT, VT>(bad)), WireError);
 }
 
+TEST(WireSession, EveryAlgoCodeRoundTripsAndTheNextIsRejected) {
+  EXPECT_EQ(static_cast<std::uint32_t>(MaskedAlgo::kAuto), 8u);
+  for (std::uint32_t code = 0; code <= 10; ++code) {
+    MaskedOptions o;
+    o.algo = static_cast<MaskedAlgo>(code);
+    WireWriter w;
+    write_options(w, o);
+    WireReader r(w.bytes());
+    EXPECT_EQ(read_options(r).algo, o.algo) << code;
+  }
+  EXPECT_EQ(static_cast<std::uint32_t>(MaskedAlgo::kAdaptive), 10u);
+  WireWriter w;
+  write_options(w, MaskedOptions{});
+  std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+  const std::uint32_t past_end = 11;
+  std::memcpy(bytes.data(), &past_end, sizeof(past_end));  // algo is first
+  WireReader r(bytes);
+  EXPECT_THROW(read_options(r), WireError);
+}
+
 TEST(WireSession, RejectsInvalidCsrStructure) {
   // A structurally broken matrix (rowptr not matching nnz) must be caught
   // by the decoder even though the checksum would pass.
