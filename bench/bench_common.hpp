@@ -273,12 +273,12 @@ double time_masked_spgemm(const Mat& a, const Mat& b, const Mat& m,
   }
 }
 
-// Triangle-counting preparation (§8.2): relabel by non-increasing degree and
-// take the strictly-lower-triangular part; the timed kernel is then
-// L .* (L·L) on plus-pair.
+// Triangle-counting preparation (§8.2), the same pass triangle_count runs:
+// relabel by non-increasing degree, keeping the strictly-lower-triangular
+// part; the timed kernel is then L .* (L·L) on plus-pair.
 inline Mat prepare_tc_lower(const Mat& graph) {
-  const auto perm = degree_order_desc(graph);
-  return tril_strict(permute_symmetric(graph, perm));
+  return relabel_symmetric(graph, degree_order_desc(graph),
+                           RelabelPart::kStrictLower);
 }
 
 // Renders the profile figures the way the paper's plots read: one series

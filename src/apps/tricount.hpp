@@ -4,19 +4,23 @@
 // optimization, cited by the paper), L is the strictly-lower-triangular part
 // of the relabeled adjacency matrix, and the triangle count is
 // sum(L .* (L·L)) on the plus-pair semiring — "known to be among the fastest
-// ways to compute Triangle Counting". The masked product is the measured
-// kernel; relabeling/extraction are reported separately.
+// ways to compute Triangle Counting". The masked product, reduced to its sum
+// without building C (MaskedPlan::execute_sum), is the measured kernel; the
+// degree order and the fused relabel-and-extract pass are reported
+// separately (the "tc.prep" span).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "client/client.hpp"
 #include "common/timer.hpp"
 #include "core/flops.hpp"
 #include "core/plan.hpp"
 #include "matrix/ops.hpp"
+#include "obs/trace.hpp"
 #include "semiring/semirings.hpp"
 
 namespace msx {
@@ -51,50 +55,47 @@ TriCountResult triangle_count(const CSRMatrix<IT, VT>& graph,
             "triangle_count: adjacency matrix must be square");
   WallTimer total;
 
-  const auto perm = degree_order_desc(graph);
-  const auto relabeled = permute_symmetric(graph, perm);
-
-  TriCountResult result;
-  CSRMatrix<IT, std::int64_t> c;
-  // Plan/execute split: plan construction carries the setup the paper keeps
-  // outside the timed kernel (algorithm resolution; B's CSC copy for the
-  // pull-based families), so seconds_spgemm times the masked product alone.
-  using SR = PlusPair<std::int64_t>;
-  switch (variant) {
-    case TriCountVariant::kLL: {
-      const auto lower = tril_strict(relabeled);
-      result.multiplies = total_flops(lower, lower);
-      auto plan = masked_plan<SR>(lower, lower, lower, opts);
-      result.algo = plan.algo();
-      WallTimer kernel;
-      c = plan.execute();
-      result.seconds_spgemm = kernel.seconds();
-      break;
+  // L and U come straight from the graph in one relabel pass each; the
+  // relabeled whole matrix is never built.
+  CSRMatrix<IT, VT> lower, upper;
+  {
+    obs::ScopedSpan span("tc.prep");
+    const auto perm = degree_order_desc(graph);
+    if (variant != TriCountVariant::kUU) {
+      lower = relabel_symmetric(graph, perm, RelabelPart::kStrictLower);
     }
-    case TriCountVariant::kLU: {
-      const auto lower = tril_strict(relabeled);
-      const auto upper = triu_strict(relabeled);
-      result.multiplies = total_flops(lower, upper);
-      auto plan = masked_plan<SR>(lower, upper, lower, opts);
-      result.algo = plan.algo();
-      WallTimer kernel;
-      c = plan.execute();
-      result.seconds_spgemm = kernel.seconds();
-      break;
-    }
-    case TriCountVariant::kUU: {
-      const auto upper = triu_strict(relabeled);
-      result.multiplies = total_flops(upper, upper);
-      auto plan = masked_plan<SR>(upper, upper, upper, opts);
-      result.algo = plan.algo();
-      WallTimer kernel;
-      c = plan.execute();
-      result.seconds_spgemm = kernel.seconds();
-      break;
+    if (variant != TriCountVariant::kLL) {
+      upper = relabel_symmetric(graph, perm, RelabelPart::kStrictUpper);
     }
   }
 
-  result.triangles = static_cast<std::uint64_t>(reduce_sum(c));
+  // Plan/execute split: plan construction carries the setup the paper keeps
+  // outside the timed kernel (algorithm resolution; B's CSC copy for the
+  // pull-based families), so seconds_spgemm times the masked product alone.
+  // Only the sum of L .* (L·L) is used, so the plan reduces it in place of
+  // building C. The mask is always the left operand.
+  TriCountResult result;
+  const auto count = [&](const CSRMatrix<IT, VT>& a,
+                         const CSRMatrix<IT, VT>& b) {
+    result.multiplies = total_flops(a, b);
+    auto plan = masked_plan<PlusPair<std::int64_t>>(a, b, a, opts);
+    result.algo = plan.algo();
+    WallTimer kernel;
+    const std::int64_t sum = plan.execute_sum();
+    result.seconds_spgemm = kernel.seconds();
+    return static_cast<std::uint64_t>(sum);
+  };
+  switch (variant) {
+    case TriCountVariant::kLL:
+      result.triangles = count(lower, lower);
+      break;
+    case TriCountVariant::kLU:
+      result.triangles = count(lower, upper);
+      break;
+    case TriCountVariant::kUU:
+      result.triangles = count(upper, upper);
+      break;
+  }
   result.seconds_total = total.seconds();
   return result;
 }
@@ -114,17 +115,28 @@ TriCountResult triangle_count(
             "triangle_count: adjacency matrix must be square");
   WallTimer total;
 
-  const auto perm = degree_order_desc(graph);
-  const auto relabeled_vt = permute_symmetric(graph, perm);
-  // The session is typed over the plus-pair semiring's int64 operands.
+  // The session is typed over the plus-pair semiring's int64 operands, which
+  // take the value 1 everywhere (plus-pair ignores values).
   using Mat = CSRMatrix<IT, std::int64_t>;
-  const Mat relabeled(
-      relabeled_vt.nrows(), relabeled_vt.ncols(),
-      std::vector<IT>(relabeled_vt.rowptr().begin(),
-                      relabeled_vt.rowptr().end()),
-      std::vector<IT>(relabeled_vt.colidx().begin(),
-                      relabeled_vt.colidx().end()),
-      std::vector<std::int64_t>(relabeled_vt.nnz(), 1));
+  std::shared_ptr<const Mat> lower, upper;
+  {
+    obs::ScopedSpan span("tc.prep");
+    const auto perm = degree_order_desc(graph);
+    const auto ones = [&](RelabelPart part) {
+      const auto t = relabel_symmetric(graph, perm, part);
+      return std::make_shared<const Mat>(
+          t.nrows(), t.ncols(),
+          std::vector<IT>(t.rowptr().begin(), t.rowptr().end()),
+          std::vector<IT>(t.colidx().begin(), t.colidx().end()),
+          std::vector<std::int64_t>(t.nnz(), 1));
+    };
+    if (variant != TriCountVariant::kUU) {
+      lower = ones(RelabelPart::kStrictLower);
+    }
+    if (variant != TriCountVariant::kLL) {
+      upper = ones(RelabelPart::kStrictUpper);
+    }
+  }
 
   TriCountResult result;
   result.algo = opts.algo;  // resolution happens backend-side
@@ -145,22 +157,15 @@ TriCountResult triangle_count(
     session.release(handle);
   };
   switch (variant) {
-    case TriCountVariant::kLL: {
-      auto lower = std::make_shared<const Mat>(tril_strict(relabeled));
+    case TriCountVariant::kLL:
       run(lower, lower, lower);
       break;
-    }
-    case TriCountVariant::kLU: {
-      auto lower = std::make_shared<const Mat>(tril_strict(relabeled));
-      auto upper = std::make_shared<const Mat>(triu_strict(relabeled));
+    case TriCountVariant::kLU:
       run(lower, upper, lower);
       break;
-    }
-    case TriCountVariant::kUU: {
-      auto upper = std::make_shared<const Mat>(triu_strict(relabeled));
+    case TriCountVariant::kUU:
       run(upper, upper, upper);
       break;
-    }
   }
 
   result.triangles = static_cast<std::uint64_t>(reduce_sum(c));

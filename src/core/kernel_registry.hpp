@@ -92,6 +92,14 @@ class PlanKernelBase {
     return run(symbolic, partition, ctx, nullptr);
   }
 
+  // Runs the reduce-to-scalar driver (run_masked_reduce) over the bound
+  // operands: the SR::add fold of every entry run() would return, without
+  // building it. `partition`, `ctx` and `timings` act as for run(); no
+  // symbolic pass runs, so there is no symbolic cache to carry.
+  virtual typename SR::value_type run_sum(PartitionCache* partition,
+                                          const ExecContext& ctx,
+                                          BlockTimings* timings) = 0;
+
   // Releases all per-thread scratch memory (accumulator arrays, heaps).
   // The next run() regrows them on demand.
   virtual void reset_workspaces() = 0;
@@ -146,6 +154,16 @@ class PlanKernelImpl final : public PlanKernelBase<SR, IT, VT> {
         static_cast<std::size_t>(ctx.concurrency(opts_.threads)));
     return run_masked_kernel(*kernel_, opts_, *lease.pool, symbolic,
                              partition, ctx, timings);
+  }
+
+  typename SR::value_type run_sum(PartitionCache* partition,
+                                  const ExecContext& ctx,
+                                  BlockTimings* timings) override {
+    check_arg(kernel_.has_value(), "plan kernel: run_sum() before bind()");
+    WorkspaceLease lease = lease_workspaces(
+        static_cast<std::size_t>(ctx.concurrency(opts_.threads)));
+    return run_masked_reduce<SR>(*kernel_, opts_, *lease.pool, partition, ctx,
+                                 timings);
   }
 
   void reset_workspaces() override {

@@ -11,6 +11,7 @@
 //   auto c1 = plan.execute();                  // full speed, no setup
 //   auto c2 = plan.execute();                  // reuses workspaces + caches
 //   auto c3 = plan.execute_values(av, bv);     // new numerics, same pattern
+//   auto s = plan.execute_sum();               // sum of C's entries, no C
 //   plan.rebind(a2, b2, m2);                   // new structure, warm scratch
 //
 // What the plan retains between calls:
@@ -158,30 +159,27 @@ class MaskedPlan {
   // execute_values()/rebind() always remain exclusive: they mutate the
   // stored operands.
   output_matrix execute(const ExecContext& ctx) {
-    // Close the feedback loop before running: observed per-block timings
-    // from earlier executes of this structure re-mode the cached partition
-    // in place (O(blocks), no replan).
-    const bool adaptive = opts_.algo == MaskedAlgo::kAdaptive;
-    if (adaptive && partition_.valid &&
-        !partition_.partition.block_mode.empty()) {
-      last_remodes_ = adaptive::FeedbackStore::global().remode(
-          adaptive_digest_, partition_.partition);
-    }
-    BlockTimings timings;
-    auto c = kernel_->run(
-        opts_.phases == PhaseMode::kTwoPhase ? &symbolic_ : nullptr,
-        &partition_, ctx, adaptive ? &timings : nullptr);
-    if (adaptive && !timings.empty()) {
-      adaptive::FeedbackStore::global().record(
-          adaptive_digest_, partition_.partition, timings);
-    }
-    // Recorded for the single-owner (OpenMP) usage only: concurrent warmed
-    // executes would race on the member, and runtime contexts track their
-    // own stats.
-    if (ctx.is_openmp()) {
-      last_execute_setup_seconds_ = kernel_->last_setup_seconds();
-    }
-    return c;
+    return observed_run(ctx, [&](BlockTimings* timings) {
+      return kernel_->run(
+          opts_.phases == PhaseMode::kTwoPhase ? &symbolic_ : nullptr,
+          &partition_, ctx, timings);
+    });
+  }
+
+  // The SR::add fold of every entry execute() would return, without building
+  // C: no symbolic, bound or compact pass and no output arrays (the paper's
+  // sum(L .* (L·L)) when only the sum is wanted). Each row is summed in
+  // column order and the row sums are folded in row order, so the result is
+  // the same for every schedule, thread count and context — and equals
+  // reduce_sum(execute()) exactly on integer semirings. The phase mode is
+  // irrelevant here. Shares the partition cache, workspaces and concurrency
+  // caveats of execute().
+  output_value execute_sum() { return execute_sum(ExecContext::openmp()); }
+
+  output_value execute_sum(const ExecContext& ctx) {
+    return observed_run(ctx, [&](BlockTimings* timings) {
+      return kernel_->run_sum(&partition_, ctx, timings);
+    });
   }
 
   output_matrix execute_values(std::span<const VT> a_values,
@@ -501,6 +499,33 @@ class MaskedPlan {
                           mask_colidx.data()};
     }
   };
+
+  // Runs one kernel pass with the adaptive feedback loop closed around it:
+  // observed per-block timings from earlier runs of this structure re-mode
+  // the cached partition in place first (O(blocks), no replan), and this
+  // run's timings are recorded after.
+  template <class Run>
+  auto observed_run(const ExecContext& ctx, Run&& run) {
+    const bool adaptive = opts_.algo == MaskedAlgo::kAdaptive;
+    if (adaptive && partition_.valid &&
+        !partition_.partition.block_mode.empty()) {
+      last_remodes_ = adaptive::FeedbackStore::global().remode(
+          adaptive_digest_, partition_.partition);
+    }
+    BlockTimings timings;
+    auto out = run(adaptive ? &timings : nullptr);
+    if (adaptive && !timings.empty()) {
+      adaptive::FeedbackStore::global().record(
+          adaptive_digest_, partition_.partition, timings);
+    }
+    // Recorded for the single-owner (OpenMP) usage only: concurrent warmed
+    // executes would race on the member, and runtime contexts track their
+    // own stats.
+    if (ctx.is_openmp()) {
+      last_execute_setup_seconds_ = kernel_->last_setup_seconds();
+    }
+    return out;
+  }
 
   template <class MT>
   void adopt_structure(const CSRMatrix<IT, VT>& a, const CSRMatrix<IT, VT>& b,

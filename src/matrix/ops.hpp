@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <numeric>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/platform.hpp"
 #include "common/prefix_sum.hpp"
+#include "core/partition.hpp"
 #include "matrix/build.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/csr.hpp"
@@ -29,17 +31,115 @@ std::vector<IT> row_degrees(const CSRMatrix<IT, VT>& a) {
 }
 
 // Permutation that sorts vertices by non-increasing degree (ties broken by
-// vertex id for determinism). perm[new_id] = old_id.
+// vertex id for determinism). perm[new_id] = old_id. A stable counting sort
+// over degree buckets, O(n + max degree): the same permutation as a stable
+// comparison sort on (degree desc, id asc).
 template <class IT, class VT>
 std::vector<IT> degree_order_desc(const CSRMatrix<IT, VT>& a) {
-  std::vector<IT> perm(static_cast<std::size_t>(a.nrows()));
-  std::iota(perm.begin(), perm.end(), IT{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](IT x, IT y) {
-    const IT dx = a.row_nnz(x), dy = a.row_nnz(y);
-    if (dx != dy) return dx > dy;
-    return x < y;
-  });
+  const IT n = a.nrows();
+  IT max_deg = 0;
+  for (IT i = 0; i < n; ++i) max_deg = std::max(max_deg, a.row_nnz(i));
+  // Bucket k holds the vertices of degree max_deg - k, so bucket 0 (the
+  // highest degree) comes first; start[k] is its first output slot.
+  std::vector<IT> start(static_cast<std::size_t>(max_deg) + 2, IT{0});
+  for (IT i = 0; i < n; ++i) {
+    ++start[static_cast<std::size_t>(max_deg - a.row_nnz(i)) + 1];
+  }
+  inclusive_scan_serial(start.data(), start.size());
+  std::vector<IT> perm(static_cast<std::size_t>(n));
+  for (IT i = 0; i < n; ++i) {
+    perm[static_cast<std::size_t>(
+        start[static_cast<std::size_t>(max_deg - a.row_nnz(i))]++)] = i;
+  }
   return perm;
+}
+
+// What relabel_symmetric keeps of the relabeled matrix.
+enum class RelabelPart {
+  kWhole,
+  kStrictLower,  // col < row
+  kStrictUpper,  // col > row
+};
+
+// Symmetric relabeling B = P A Pᵀ (perm[new_id] = old_id), keeping the whole
+// of B or only its strictly lower or strictly upper triangle. Requires a
+// square matrix and a permutation. Rows are counted, prefix-summed and filled
+// in place; each row's relabeled entries are gathered into a buffer owned by
+// its block and sorted by column, so nothing is allocated per row. Rows are
+// handed out in blocks of near-equal source nnz (core/partition.hpp), which
+// spreads the hub rows a degree order puts first over the whole team.
+template <class IT, class VT>
+CSRMatrix<IT, VT> relabel_symmetric(const CSRMatrix<IT, VT>& a,
+                                    const std::vector<IT>& perm,
+                                    RelabelPart part) {
+  check_arg(a.nrows() == a.ncols(),
+            "symmetric permutation needs square matrix");
+  check_arg(perm.size() == static_cast<std::size_t>(a.nrows()),
+            "permutation size mismatch");
+  const IT n = a.nrows();
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<IT> inv(un);
+  parallel_for(IT{0}, n, Schedule::kStatic, [&](IT i) {
+    inv[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] = i;
+  });
+  // One unit per row on top of its nnz, so runs of empty rows still split.
+  const auto part_rows = build_row_partition(
+      n, partition_target_blocks(max_threads()), [&](IT i) {
+        return a.row_nnz(perm[static_cast<std::size_t>(i)]) + 1;
+      });
+  const auto bounds = part_rows.bounds();
+
+  const auto relabel = [&](auto keep) {
+    std::vector<IT> rowptr(un + 1, IT{0});
+    parallel_for_blocks<IT>(bounds, [&](IT i) {
+      const auto src = a.row(perm[static_cast<std::size_t>(i)]);
+      IT cnt = 0;
+      for (IT p = 0; p < src.size(); ++p) {
+        cnt += keep(i, inv[static_cast<std::size_t>(src.cols[p])]) ? 1 : 0;
+      }
+      rowptr[static_cast<std::size_t>(i) + 1] = cnt;
+    });
+    counts_to_offsets(rowptr);
+    std::vector<IT> colidx(static_cast<std::size_t>(rowptr.back()));
+    std::vector<VT> values(colidx.size());
+    parallel_for_block_ranges<IT>(bounds, [&](int, int, IT lo, IT hi) {
+      std::vector<std::pair<IT, VT>> entries;
+      for (IT i = lo; i < hi; ++i) {
+        const auto src = a.row(perm[static_cast<std::size_t>(i)]);
+        if (entries.size() < static_cast<std::size_t>(src.size())) {
+          entries.resize(static_cast<std::size_t>(src.size()));
+        }
+        // Branch-free gather: every entry is written, kept ones advance.
+        std::size_t kept = 0;
+        for (IT p = 0; p < src.size(); ++p) {
+          const IT j = inv[static_cast<std::size_t>(src.cols[p])];
+          entries[kept] = {j, src.vals[p]};
+          kept += keep(i, j) ? 1 : 0;
+        }
+        std::sort(entries.data(), entries.data() + kept,
+                  [](const auto& x, const auto& y) {
+                    return x.first < y.first;
+                  });
+        const auto q =
+            static_cast<std::size_t>(rowptr[static_cast<std::size_t>(i)]);
+        for (std::size_t t = 0; t < kept; ++t) {
+          colidx[q + t] = entries[t].first;
+          values[q + t] = entries[t].second;
+        }
+      }
+    });
+    return CSRMatrix<IT, VT>(n, n, std::move(rowptr), std::move(colidx),
+                             std::move(values));
+  };
+  switch (part) {
+    case RelabelPart::kStrictLower:
+      return relabel([](IT i, IT j) { return j < i; });
+    case RelabelPart::kStrictUpper:
+      return relabel([](IT i, IT j) { return j > i; });
+    case RelabelPart::kWhole:
+      break;
+  }
+  return relabel([](IT, IT) { return true; });
 }
 
 // Symmetric relabeling: B = P A Pᵀ where perm[new_id] = old_id.
@@ -47,39 +147,7 @@ std::vector<IT> degree_order_desc(const CSRMatrix<IT, VT>& a) {
 template <class IT, class VT>
 CSRMatrix<IT, VT> permute_symmetric(const CSRMatrix<IT, VT>& a,
                                     const std::vector<IT>& perm) {
-  check_arg(a.nrows() == a.ncols(), "symmetric permutation needs square matrix");
-  check_arg(perm.size() == static_cast<std::size_t>(a.nrows()),
-            "permutation size mismatch");
-  const IT n = a.nrows();
-  std::vector<IT> inv(static_cast<std::size_t>(n));
-  for (IT i = 0; i < n; ++i) inv[static_cast<std::size_t>(perm[i])] = i;
-
-  std::vector<IT> rowptr(static_cast<std::size_t>(n) + 1, IT{0});
-  for (IT i = 0; i < n; ++i) {
-    rowptr[static_cast<std::size_t>(i) + 1] = a.row_nnz(perm[i]);
-  }
-  counts_to_offsets(rowptr);
-  std::vector<IT> colidx(a.nnz());
-  std::vector<VT> values(a.nnz());
-
-  parallel_for(IT{0}, n, Schedule::kStatic, [&](IT i) {
-    const auto src = a.row(perm[static_cast<std::size_t>(i)]);
-    const auto base = static_cast<std::size_t>(rowptr[i]);
-    // Relabel columns, then sort the row (relabeling breaks ordering).
-    std::vector<std::pair<IT, VT>> entries(static_cast<std::size_t>(src.size()));
-    for (IT p = 0; p < src.size(); ++p) {
-      entries[static_cast<std::size_t>(p)] = {
-          inv[static_cast<std::size_t>(src.cols[p])], src.vals[p]};
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t p = 0; p < entries.size(); ++p) {
-      colidx[base + p] = entries[p].first;
-      values[base + p] = entries[p].second;
-    }
-  });
-  return CSRMatrix<IT, VT>(n, n, std::move(rowptr), std::move(colidx),
-                           std::move(values));
+  return relabel_symmetric(a, perm, RelabelPart::kWhole);
 }
 
 // Keeps entries satisfying pred(row, col, value); drops the rest.
@@ -116,12 +184,6 @@ CSRMatrix<IT, VT> filter(const CSRMatrix<IT, VT>& a, Pred&& pred) {
 template <class IT, class VT>
 CSRMatrix<IT, VT> tril_strict(const CSRMatrix<IT, VT>& a) {
   return filter(a, [](IT i, IT j, const VT&) { return j < i; });
-}
-
-// Strictly-upper-triangular part (col > row).
-template <class IT, class VT>
-CSRMatrix<IT, VT> triu_strict(const CSRMatrix<IT, VT>& a) {
-  return filter(a, [](IT i, IT j, const VT&) { return j > i; });
 }
 
 // Removes diagonal entries.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "gen/structured.hpp"
@@ -63,6 +64,27 @@ TEST(TriCountVariants, AllSchemesAllVariants) {
       o.algo = algo;
       EXPECT_EQ(triangle_count(g, o, variant).triangles, want)
           << to_string(algo) << "/" << static_cast<int>(variant);
+    }
+  }
+}
+
+TEST(TriCountVariants, EveryFamilyAndVariantMatchesSerialOracleOnRmat) {
+  const auto g = rmat<IT, VT>(9, 7);
+  const auto lower = tril_strict(permute_symmetric(g, degree_order_desc(g)));
+  const auto oracle = static_cast<std::uint64_t>(reduce_sum(
+      reference_masked_spgemm<PlusPair<std::int64_t>>(lower, lower, lower)));
+  ASSERT_GT(oracle, 0u);
+  for (auto algo : msx::testing::all_algos()) {
+    for (auto phases : msx::testing::all_phases()) {
+      for (auto variant : kVariants) {
+        MaskedOptions o;
+        o.algo = algo;
+        o.phases = phases;
+        const auto r = triangle_count(g, o, variant);
+        EXPECT_EQ(r.triangles, oracle)
+            << scheme_name(algo, phases) << "/" << static_cast<int>(variant);
+        EXPECT_EQ(r.algo, algo);
+      }
     }
   }
 }

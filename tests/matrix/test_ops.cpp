@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "gen/erdos_renyi.hpp"
+#include "gen/rmat.hpp"
 #include "gen/structured.hpp"
 #include "matrix/build.hpp"
 #include "matrix/convert.hpp"
@@ -23,6 +30,92 @@ TEST(Ops, DegreeOrderDescStableTies) {
   auto a = csr_from_dense<IT, VT>({{1, 0, 0}, {1, 1, 0}, {1, 0, 0}});
   auto perm = degree_order_desc(a);
   EXPECT_EQ(perm, (std::vector<IT>{1, 0, 2}));  // deg 2 first, ties by id
+}
+
+// The comparison sort degree_order_desc replaced, kept as its reference.
+std::vector<IT> stable_sort_degree_order(const CSRMatrix<IT, VT>& a) {
+  std::vector<IT> perm(static_cast<std::size_t>(a.nrows()));
+  std::iota(perm.begin(), perm.end(), IT{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](IT x, IT y) {
+    const IT dx = a.row_nnz(x), dy = a.row_nnz(y);
+    if (dx != dy) return dx > dy;
+    return x < y;
+  });
+  return perm;
+}
+
+// Graphs with heavy degree ties and isolated vertices, plus n = 0 and n = 1.
+std::vector<CSRMatrix<IT, VT>> ordering_cases() {
+  std::vector<CSRMatrix<IT, VT>> cases;
+  cases.push_back(CSRMatrix<IT, VT>(0, 0));
+  cases.push_back(CSRMatrix<IT, VT>(1, 1));
+  cases.push_back(csr_from_dense<IT, VT>({{1}}));
+  cases.push_back(complete_graph<IT, VT>(9));   // every degree tied
+  cases.push_back(star_graph<IT, VT>(40));      // one hub, tied leaves
+  cases.push_back(cycle_graph<IT, VT>(17));
+  // Isolated vertices between tied ones: every third row emptied.
+  cases.push_back(filter(erdos_renyi<IT, VT>(120, 120, 3, 5),
+                         [](IT i, IT, const VT&) { return i % 3 != 1; }));
+  cases.push_back(rmat<IT, VT>(9, 3));
+  return cases;
+}
+
+TEST(Ops, DegreeOrderDescMatchesStableSort) {
+  for (const auto& g : ordering_cases()) {
+    EXPECT_EQ(degree_order_desc(g), stable_sort_degree_order(g))
+        << g.nrows() << " rows, " << g.nnz() << " entries";
+  }
+}
+
+// Naive relabel: gather each new row, sort it, then filter the triangle.
+CSRMatrix<IT, VT> naive_permute(const CSRMatrix<IT, VT>& a,
+                                const std::vector<IT>& perm) {
+  const IT n = a.nrows();
+  std::vector<IT> inv(static_cast<std::size_t>(n));
+  for (IT i = 0; i < n; ++i) inv[static_cast<std::size_t>(perm[i])] = i;
+  std::vector<IT> rowptr{0}, colidx;
+  std::vector<VT> values;
+  for (IT i = 0; i < n; ++i) {
+    const auto src = a.row(perm[static_cast<std::size_t>(i)]);
+    std::vector<std::pair<IT, VT>> row;
+    for (IT p = 0; p < src.size(); ++p) {
+      row.emplace_back(inv[static_cast<std::size_t>(src.cols[p])],
+                       src.vals[p]);
+    }
+    std::sort(row.begin(), row.end());
+    for (const auto& [j, v] : row) {
+      colidx.push_back(j);
+      values.push_back(v);
+    }
+    rowptr.push_back(static_cast<IT>(colidx.size()));
+  }
+  return CSRMatrix<IT, VT>(n, n, std::move(rowptr), std::move(colidx),
+                           std::move(values));
+}
+
+TEST(Ops, RelabelSymmetricMatchesNaiveReference) {
+  auto cases = ordering_cases();
+  // Unsymmetric, with random values and diagonal entries; the second is
+  // large enough to be cut into many row blocks.
+  cases.push_back(erdos_renyi<IT, VT>(300, 300, 7, 11));
+  cases.push_back(erdos_renyi<IT, VT>(5000, 5000, 20, 12));
+  for (const auto& g : cases) {
+    std::vector<IT> shuffled(static_cast<std::size_t>(g.nrows()));
+    std::iota(shuffled.begin(), shuffled.end(), IT{0});
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+    for (const auto& perm : {degree_order_desc(g), shuffled}) {
+      const auto whole = naive_permute(g, perm);
+      const auto lower =
+          filter(whole, [](IT i, IT j, const VT&) { return j < i; });
+      const auto upper =
+          filter(whole, [](IT i, IT j, const VT&) { return j > i; });
+      EXPECT_EQ(relabel_symmetric(g, perm, RelabelPart::kWhole), whole);
+      EXPECT_EQ(permute_symmetric(g, perm), whole);
+      EXPECT_EQ(relabel_symmetric(g, perm, RelabelPart::kStrictLower), lower);
+      EXPECT_EQ(relabel_symmetric(g, perm, RelabelPart::kStrictUpper), upper);
+      EXPECT_EQ(tril_strict(permute_symmetric(g, perm)), lower);
+    }
+  }
 }
 
 TEST(Ops, PermuteSymmetricIsRelabeling) {
@@ -55,7 +148,9 @@ TEST(Ops, PermuteSymmetricPreservesTriangleStructure) {
 TEST(Ops, TrilTriuPartition) {
   auto g = symmetrize_pattern(erdos_renyi<IT, VT>(40, 40, 6, 4));
   auto l = tril_strict(g);
-  auto u = triu_strict(g);
+  std::vector<IT> identity(static_cast<std::size_t>(g.nrows()));
+  std::iota(identity.begin(), identity.end(), IT{0});
+  auto u = relabel_symmetric(g, identity, RelabelPart::kStrictUpper);
   auto d = filter(g, [](IT i, IT j, const VT&) { return i == j; });
   EXPECT_EQ(l.nnz() + u.nnz() + d.nnz(), g.nnz());
   for (IT i = 0; i < l.nrows(); ++i) {
