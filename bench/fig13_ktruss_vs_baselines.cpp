@@ -1,44 +1,32 @@
 // Figure 13: k-truss — our best schemes vs the SS:GB-like baselines.
 //
 // Paper: MSA-1P and Inner-1P perform significantly better than the SS:GB
-// schemes on both platforms.
+// schemes on both platforms. Every scheme and baseline runs the same
+// products: the round-1 support product, then the delta products of each
+// later round.
 #include <cstdio>
 
 #include "apps/ktruss.hpp"
 #include "baseline/ssgb_like.hpp"
 #include "bench_common.hpp"
 #include "core/flops.hpp"
-#include "matrix/ops.hpp"
 
 using namespace msx;
 using namespace msx::bench;
 
 namespace {
 
-// k-truss loop with the Masked SpGEMM swapped for a baseline; returns the
-// summed baseline-call seconds (mirrors KTrussResult.seconds_spgemm).
+// The k-truss rounds of apps/ktruss.hpp with a baseline as the support
+// product, so the baselines run the same round-1 and delta products as the
+// schemes; returns the summed baseline-call seconds.
 double ktruss_with_baseline(const Mat& graph, int k, bool dot) {
   using SR = PlusPair<std::int64_t>;
-  CSRMatrix<IT, std::int64_t> a(
-      graph.nrows(), graph.ncols(),
-      std::vector<IT>(graph.rowptr().begin(), graph.rowptr().end()),
-      std::vector<IT>(graph.colidx().begin(), graph.colidx().end()),
-      std::vector<std::int64_t>(graph.nnz(), 1));
-  const auto need = static_cast<std::int64_t>(k - 2);
-  double total = 0.0;
-  while (true) {
-    WallTimer t;
-    auto support = dot ? ss_dot_like<SR>(a, a, a)
-                       : ss_saxpy_like<SR>(a, a, a);
-    total += t.seconds();
-    auto pruned = filter(support, [&](IT, IT, const std::int64_t& v) {
-      return v >= need;
-    });
-    const bool converged = (pruned.nnz() == a.nnz());
-    a = spones(pruned);
-    if (converged || a.nnz() == 0) break;
-  }
-  return total;
+  using Support = CSRMatrix<IT, std::int64_t>;
+  const auto product = [dot](const Support& a, const Support& b,
+                             const Support& m) {
+    return dot ? ss_dot_like<SR>(a, b, m) : ss_saxpy_like<SR>(a, b, m);
+  };
+  return detail::ktruss_rounds(graph, k, product).seconds_spgemm;
 }
 
 }  // namespace

@@ -4,7 +4,13 @@
 // algorithms shine: each pruning round sparsifies the mask); "algorithms
 // deemed inefficient for plain SpGEMM can attain quite good performance when
 // mask becomes part of the multiplication".
+// Rates are over the products ktruss() actually runs: the round-1 support
+// product, then the delta products of the later rounds. The ktruss_e2e_ms
+// column times the whole ktruss call with default options. --json writes
+// two records per scale to BENCH_fig14_ktruss_rmat_scale.json: the GFLOP/s
+// of every scheme, and ("kind": "ktruss_e2e") the end-to-end time.
 #include <cstdio>
+#include <string>
 
 #include "apps/ktruss.hpp"
 #include "bench_common.hpp"
@@ -35,13 +41,18 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> headers{"scale", "n", "iterations"};
   for (const auto& s : schemes) headers.push_back(s.name + "_gflops");
+  headers.push_back("ktruss_e2e_ms");
   Table table(headers);
+  BenchJsonFile artifact("fig14_ktruss_rmat_scale", cfg);
 
   for (int scale = scale_lo; scale <= scale_hi; ++scale) {
     const auto graph = rmat<IT, VT>(scale, 42);
     int iters = 0;
     std::vector<std::string> row{std::to_string(scale),
                                  std::to_string(graph.nrows()), ""};
+    JsonObject record;
+    record.field("graph", "rmat-" + std::to_string(scale))
+        .field("scale", scale);
     for (const auto& s : schemes) {
       MaskedOptions o = s.opts;
       o.threads = cfg.threads;
@@ -52,13 +63,37 @@ int main(int argc, char** argv) {
         best_rate = std::max(best_rate, gflops(r.multiplies, r.seconds_spgemm));
       }
       row.push_back(Table::num(best_rate, 3));
+      record.field((s.name + "_gflops").c_str(), best_rate);
     }
     row[2] = std::to_string(iters);
+    {
+      const auto stats = measure(
+          [&] {
+            const auto r = ktruss(graph, k);
+            (void)r;
+          },
+          cfg.measure());
+      row.push_back(Table::num(best_seconds(stats) * 1e3, 3));
+      // A record of its own: below perf_trend's noise floor (small smoke
+      // scales) a timing exempts its whole record, and the GFLOP/s fields
+      // must stay gated.
+      JsonObject e2e;
+      e2e.field("graph", "rmat-" + std::to_string(scale))
+          .field("kind", "ktruss_e2e")
+          .field("scale", scale)
+          .field("ktruss_e2e_seconds", best_seconds(stats));
+      artifact.add(e2e);
+    }
     table.add_row(std::move(row));
+    artifact.add(record);
   }
   table.print();
   std::printf("\nExpected shape (paper Fig. 14): pull-based Inner improves\n"
               "its GFLOPS rate with scale and becomes competitive with (or\n"
               "better than) the push-based schemes.\n");
+  if (!artifact.write(
+          cfg.resolved_json_path("BENCH_fig14_ktruss_rmat_scale.json"))) {
+    return 1;
+  }
   return 0;
 }

@@ -2,7 +2,7 @@
 //
 // These are the substrate operations the graph applications are assembled
 // from: triangular extraction and degree-relabeling (triangle counting,
-// §8.2), value filtering (k-truss pruning, §8.3), element-wise
+// §8.2), value filtering and splitting (k-truss pruning, §8.3), element-wise
 // multiply/add and reductions (betweenness centrality, §8.4).
 #pragma once
 
@@ -150,34 +150,82 @@ CSRMatrix<IT, VT> permute_symmetric(const CSRMatrix<IT, VT>& a,
   return relabel_symmetric(a, perm, RelabelPart::kWhole);
 }
 
-// Keeps entries satisfying pred(row, col, value); drops the rest.
-template <class IT, class VT, class Pred>
-CSRMatrix<IT, VT> filter(const CSRMatrix<IT, VT>& a, Pred&& pred) {
-  std::vector<IT> rowptr(static_cast<std::size_t>(a.nrows()) + 1, IT{0});
-  for (IT i = 0; i < a.nrows(); ++i) {
+namespace detail {
+
+// Row-block count/prefix/fill over the entries of `a`: entries satisfying
+// keep(row, col, value) go to the first matrix and, when kSplit, the rest to
+// the second. Rows are handed out in blocks of near-equal nnz
+// (core/partition.hpp), as relabel_symmetric does; every row is written at
+// its prefix offset, so the output does not depend on the thread count.
+template <bool kSplit, class IT, class VT, class Pred>
+std::pair<CSRMatrix<IT, VT>, CSRMatrix<IT, VT>> route_entries(
+    const CSRMatrix<IT, VT>& a, Pred& keep) {
+  const IT n = a.nrows();
+  const auto un = static_cast<std::size_t>(n);
+  const auto part_rows = build_row_partition(
+      n, partition_target_blocks(max_threads()),
+      [&](IT i) { return a.row_nnz(i) + 1; });
+  const auto bounds = part_rows.bounds();
+
+  std::vector<IT> kept_ptr(un + 1, IT{0});
+  std::vector<IT> drop_ptr(kSplit ? un + 1 : 1, IT{0});
+  parallel_for_blocks<IT>(bounds, [&](IT i) {
     const auto row = a.row(i);
     IT cnt = 0;
     for (IT p = 0; p < row.size(); ++p) {
-      if (pred(i, row.cols[p], row.vals[p])) ++cnt;
+      cnt += keep(i, row.cols[p], row.vals[p]) ? 1 : 0;
     }
-    rowptr[static_cast<std::size_t>(i) + 1] = cnt;
-  }
-  counts_to_offsets(rowptr);
-  std::vector<IT> colidx(static_cast<std::size_t>(rowptr.back()));
-  std::vector<VT> values(colidx.size());
-  for (IT i = 0; i < a.nrows(); ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    kept_ptr[ui + 1] = cnt;
+    if constexpr (kSplit) drop_ptr[ui + 1] = row.size() - cnt;
+  });
+  counts_to_offsets(kept_ptr);
+  counts_to_offsets(drop_ptr);
+  std::vector<IT> kept_cols(static_cast<std::size_t>(kept_ptr.back()));
+  std::vector<VT> kept_vals(kept_cols.size());
+  std::vector<IT> drop_cols(static_cast<std::size_t>(drop_ptr.back()));
+  std::vector<VT> drop_vals(drop_cols.size());
+  parallel_for_blocks<IT>(bounds, [&](IT i) {
     const auto row = a.row(i);
-    auto q = static_cast<std::size_t>(rowptr[static_cast<std::size_t>(i)]);
+    const auto ui = static_cast<std::size_t>(i);
+    auto q = static_cast<std::size_t>(kept_ptr[ui]);
+    auto d = kSplit ? static_cast<std::size_t>(drop_ptr[ui]) : 0;
     for (IT p = 0; p < row.size(); ++p) {
-      if (pred(i, row.cols[p], row.vals[p])) {
-        colidx[q] = row.cols[p];
-        values[q] = row.vals[p];
+      if (keep(i, row.cols[p], row.vals[p])) {
+        kept_cols[q] = row.cols[p];
+        kept_vals[q] = row.vals[p];
         ++q;
+      } else if constexpr (kSplit) {
+        drop_cols[d] = row.cols[p];
+        drop_vals[d] = row.vals[p];
+        ++d;
       }
     }
+  });
+  CSRMatrix<IT, VT> dropped;
+  if constexpr (kSplit) {
+    dropped = CSRMatrix<IT, VT>(a.nrows(), a.ncols(), std::move(drop_ptr),
+                                std::move(drop_cols), std::move(drop_vals));
   }
-  return CSRMatrix<IT, VT>(a.nrows(), a.ncols(), std::move(rowptr),
-                           std::move(colidx), std::move(values));
+  return {CSRMatrix<IT, VT>(a.nrows(), a.ncols(), std::move(kept_ptr),
+                            std::move(kept_cols), std::move(kept_vals)),
+          std::move(dropped)};
+}
+
+}  // namespace detail
+
+// Keeps entries satisfying pred(row, col, value); drops the rest.
+template <class IT, class VT, class Pred>
+CSRMatrix<IT, VT> filter(const CSRMatrix<IT, VT>& a, Pred&& pred) {
+  return detail::route_entries</*kSplit=*/false>(a, pred).first;
+}
+
+// Splits the entries of `a` in one pass: {those satisfying pred(row, col,
+// value), the rest}. Both keep a's shape and values; together they are `a`.
+template <class IT, class VT, class Pred>
+std::pair<CSRMatrix<IT, VT>, CSRMatrix<IT, VT>> split(
+    const CSRMatrix<IT, VT>& a, Pred&& pred) {
+  return detail::route_entries</*kSplit=*/true>(a, pred);
 }
 
 // Strictly-lower-triangular part (col < row).

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/parallel.hpp"
+#include "core/reference.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "gen/structured.hpp"
@@ -14,6 +18,64 @@ namespace {
 
 using IT = int32_t;
 using VT = double;
+
+// The recompute loop ktruss() replaces: a full support product A .* (A·A)
+// every round on the serial reference kernel, pruning until a fixed point.
+struct RecomputeTruss {
+  CSRMatrix<IT, std::int64_t> truss;
+  std::size_t remaining_edges = 0;
+  int iterations = 0;
+  int pruning_rounds = 0;  // rounds that dropped at least one edge
+};
+
+RecomputeTruss recompute_ktruss(const CSRMatrix<IT, VT>& graph, int k) {
+  const auto need = static_cast<std::int64_t>(k - 2);
+  CSRMatrix<IT, std::int64_t> a(
+      graph.nrows(), graph.ncols(),
+      std::vector<IT>(graph.rowptr().begin(), graph.rowptr().end()),
+      std::vector<IT>(graph.colidx().begin(), graph.colidx().end()),
+      std::vector<std::int64_t>(graph.nnz(), 1));
+  RecomputeTruss r;
+  while (true) {
+    ++r.iterations;
+    const auto support =
+        reference_masked_spgemm<PlusPair<std::int64_t>>(a, a, a);
+    const auto pruned = filter(support, [&](IT, IT, const std::int64_t& v) {
+      return v >= need;
+    });
+    const bool converged = (pruned.nnz() == a.nnz());
+    if (!converged) ++r.pruning_rounds;
+    a = spones(pruned);
+    if (converged || a.nnz() == 0) break;
+  }
+  r.remaining_edges = a.nnz();
+  r.truss = std::move(a);
+  return r;
+}
+
+// ktruss() against the recompute oracle for every family; returns the
+// oracle's result.
+RecomputeTruss expect_matches_recompute(const CSRMatrix<IT, VT>& g, int k,
+                                        const std::string& label) {
+  auto want = recompute_ktruss(g, k);
+  for (auto algo : msx::testing::all_algos()) {
+    MaskedOptions o;
+    o.algo = algo;
+    const auto got = ktruss(g, k, o);
+    EXPECT_EQ(got.truss, want.truss) << label << " " << to_string(algo);
+    EXPECT_EQ(got.remaining_edges, want.remaining_edges)
+        << label << " " << to_string(algo);
+    EXPECT_EQ(got.iterations, want.iterations)
+        << label << " " << to_string(algo);
+  }
+  return want;
+}
+
+// Symmetric, loop-free Erdős–Rényi graph.
+CSRMatrix<IT, VT> er_graph(IT n, IT degree, std::uint64_t seed) {
+  return remove_diagonal(
+      symmetrize_pattern(erdos_renyi<IT, VT>(n, n, degree, seed)));
+}
 
 TEST(KTruss, CompleteGraphIsItsOwnTruss) {
   // Every edge of K6 sits in 4 triangles: K6 is a 6-truss (support >= k-2
@@ -100,6 +162,36 @@ TEST(KTruss, AllSchemesAgree) {
     MaskedOptions o;
     o.algo = algo;
     EXPECT_EQ(ktruss(g, 5, o).remaining_edges, want) << to_string(algo);
+  }
+}
+
+TEST(KTruss, DeltaRoundsMatchRecomputeOracle) {
+  std::vector<std::pair<std::string, CSRMatrix<IT, VT>>> graphs;
+  for (int scale = 8; scale <= 10; ++scale) {
+    graphs.emplace_back("rmat-" + std::to_string(scale),
+                        rmat<IT, VT>(scale, 11));
+  }
+  graphs.emplace_back("er-400", er_graph(400, 12, 3));
+  graphs.emplace_back("er-1000", er_graph(1000, 24, 5));
+  const auto k6 = complete_graph<IT, VT>(6);
+  const auto grid = grid2d<IT, VT>(8, 8);
+  for (const int threads : {0, 1}) {  // OpenMP default, then serial
+    ScopedNumThreads guard(threads);
+    const std::string mode = threads == 1 ? " serial" : " openmp";
+    for (const auto& [name, g] : graphs) {
+      for (int k = 3; k <= 6; ++k) {
+        const auto label = name + " k=" + std::to_string(k) + mode;
+        const auto want = expect_matches_recompute(g, k, label);
+        if (name == "rmat-10" && k == 6) {  // a cascade of pruning rounds
+          EXPECT_GE(want.pruning_rounds, 3);
+          EXPECT_GT(want.remaining_edges, 0u);
+        }
+      }
+    }
+    // A first round that prunes nothing, and a graph that vanishes.
+    EXPECT_EQ(expect_matches_recompute(k6, 5, "K6" + mode).pruning_rounds, 0);
+    EXPECT_EQ(expect_matches_recompute(grid, 3, "grid" + mode).remaining_edges,
+              0u);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "gen/structured.hpp"
@@ -227,6 +228,49 @@ TEST(Ops, FilterByValue) {
   auto big = filter(a, [](IT, IT, const VT& v) { return v >= 3; });
   auto expect = csr_from_dense<IT, VT>({{0, 5}, {3, 0}});
   EXPECT_EQ(big, expect);
+}
+
+// Serial two-pass filter: the row-block version must match it bit for bit.
+template <class Pred>
+CSRMatrix<IT, VT> serial_filter(const CSRMatrix<IT, VT>& a, Pred pred) {
+  std::vector<Triple<IT, VT>> kept;
+  for (IT i = 0; i < a.nrows(); ++i) {
+    const auto row = a.row(i);
+    for (IT p = 0; p < row.size(); ++p) {
+      if (pred(i, row.cols[p], row.vals[p])) {
+        kept.push_back({i, row.cols[p], row.vals[p]});
+      }
+    }
+  }
+  return csr_from_triples<IT, VT>(a.nrows(), a.ncols(), std::move(kept),
+                                  DuplicatePolicy::kLast);
+}
+
+TEST(Ops, FilterAndSplitMatchSerialReference) {
+  // Values vary along each row, so a misplaced entry shows in them too.
+  auto g = rmat<IT, VT>(10, 7);
+  auto vals = g.mutable_values();
+  for (std::size_t p = 0; p < vals.size(); ++p) {
+    vals[p] = static_cast<VT>(p % 97);
+  }
+  const auto pred = [](IT i, IT j, const VT& v) {
+    return (i + j) % 3 != 0 && v < 60;
+  };
+  const auto rest = [&](IT i, IT j, const VT& v) { return !pred(i, j, v); };
+  std::vector<CSRMatrix<IT, VT>> cases = ordering_cases();
+  cases.push_back(g);
+  cases.push_back(CSRMatrix<IT, VT>(5, 3));  // rectangular, empty
+  for (const int threads : {1, 2, 4}) {
+    ScopedNumThreads guard(threads);
+    for (const auto& a : cases) {
+      const auto want_kept = serial_filter(a, pred);
+      const auto want_rest = serial_filter(a, rest);
+      EXPECT_EQ(filter(a, pred), want_kept) << threads << " threads";
+      const auto [kept, dropped] = split(a, pred);
+      EXPECT_EQ(kept, want_kept) << threads << " threads";
+      EXPECT_EQ(dropped, want_rest) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace
